@@ -31,7 +31,7 @@ from .bisectors import (Bisector, MidlineBisector, ParabolaBisector,
                         make_bisectors)
 from .contours import POINT, SEGMENT, BoundaryElement, check_no_crossings
 from .errors import InvalidInputError, NonterminationError
-from .geometry import EPS_MERGE, Rect
+from .geometry import EPS_GEOM, EPS_MERGE, Rect
 
 _INF = math.inf
 
@@ -361,7 +361,7 @@ def _candidate_arrays(elements: list[BoundaryElement]):
             d2c = np.where(flip[:, None], -d2, d2)
             for br, w_raw in ((0, d1 + d2c), (1, d1 - d2c)):
                 nw = np.hypot(w_raw[:, 0], w_raw[:, 1])
-                okw = nw > EPS_GEOM_ARR
+                okw = nw > EPS_GEOM
                 w = np.where(okw[:, None], w_raw / np.where(okw, nw, 1.0)[:, None], 0.0)
                 neg = (w[:, 0] < 0) | ((w[:, 0] == 0) & (w[:, 1] < 0))
                 w = np.where(neg[:, None], -w, w)
@@ -383,7 +383,7 @@ def _candidate_arrays(elements: list[BoundaryElement]):
                     bhi = np.where(tiny, np.where(inside, _INF, -_INF), bhi)
                     dom_lo = np.maximum(dom_lo, blo)
                     dom_hi = np.minimum(dom_hi, bhi)
-                okw &= dom_hi - dom_lo > EPS_GEOM_ARR
+                okw &= dom_hi - dom_lo > EPS_GEOM
                 if not okw.any():
                     continue
                 s_star = np.clip(0.0, dom_lo[okw], dom_hi[okw])
@@ -396,9 +396,6 @@ def _candidate_arrays(elements: list[BoundaryElement]):
         return z, z, z, z.astype(int), z.astype(int), z.astype(int)
     return (np.concatenate(ts), np.concatenate(xs), np.concatenate(ys),
             np.concatenate(g1s), np.concatenate(g2s), np.concatenate(brs))
-
-
-EPS_GEOM_ARR = 1e-9
 
 
 # ---------------------------------------------------------------------------

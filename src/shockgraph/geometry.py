@@ -11,20 +11,10 @@ import numpy as np
 
 # Coincidence tolerance for input geometry (pixels).
 EPS_GEOM = 1e-9
-# Equidistance tolerance for bisector checks (pixels).
-EPS_EQ = 1e-9
 # Node merge tolerance in the propagation engine (pixels).
 EPS_MERGE = 1e-6
 # Supporting lines closer than this angle (radians) are treated as parallel.
 PARALLEL_EPS = 1e-7
-
-
-def norm(v) -> float:
-    return math.hypot(v[0], v[1])
-
-
-def dist(a, b) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def unit(v):
@@ -47,39 +37,6 @@ def dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1]
 
 
-def angle_of(v) -> float:
-    return math.atan2(v[1], v[0])
-
-
-def point_segment_distance(q, a, b) -> float:
-    """Distance from q to the closed segment ab."""
-    ax, ay = a[0], a[1]
-    dx, dy = b[0] - ax, b[1] - ay
-    L2 = dx * dx + dy * dy
-    if L2 <= EPS_GEOM * EPS_GEOM:
-        return math.hypot(q[0] - ax, q[1] - ay)
-    t = ((q[0] - ax) * dx + (q[1] - ay) * dy) / L2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(q[0] - (ax + t * dx), q[1] - (ay + t * dy))
-
-
-def point_open_segment_distance(q, a, b) -> float:
-    """Distance from q to the open segment ab.
-
-    Returns +inf when the perpendicular foot falls outside the open interval;
-    the segment's endpoint elements own those regions.
-    """
-    ax, ay = a[0], a[1]
-    dx, dy = b[0] - ax, b[1] - ay
-    L2 = dx * dx + dy * dy
-    if L2 <= EPS_GEOM * EPS_GEOM:
-        return math.inf
-    t = ((q[0] - ax) * dx + (q[1] - ay) * dy) / L2
-    if t <= 0.0 or t >= 1.0:
-        return math.inf
-    return math.hypot(q[0] - (ax + t * dx), q[1] - (ay + t * dy))
-
-
 def segments_interiors_intersect(a1, b1, a2, b2, eps: float = EPS_GEOM) -> bool:
     """True when the open interiors of segments a1b1 and a2b2 cross."""
     d1 = (b1[0] - a1[0], b1[1] - a1[1])
@@ -91,13 +48,6 @@ def segments_interiors_intersect(a1, b1, a2, b2, eps: float = EPS_GEOM) -> bool:
     t = (rx * d2[1] - ry * d2[0]) / denom
     u = (rx * d1[1] - ry * d1[0]) / denom
     return eps < t < 1.0 - eps and eps < u < 1.0 - eps
-
-
-def polygon_area(pts) -> float:
-    """Signed shoelace area of a closed polygon given as an (n,2) array."""
-    p = np.asarray(pts, dtype=float)
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 class Rect:
@@ -123,10 +73,6 @@ class Rect:
     def corners(self):
         return [(self.xmin, self.ymin), (self.xmax, self.ymin),
                 (self.xmax, self.ymax), (self.xmin, self.ymax)]
-
-    def inflated(self, margin: float) -> "Rect":
-        return Rect(self.xmin - margin, self.ymin - margin,
-                    self.xmax + margin, self.ymax + margin)
 
     def __repr__(self):
         return f"Rect({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"

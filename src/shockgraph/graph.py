@@ -6,14 +6,15 @@ polyline vertex flips the local bisector between line and parabola pieces).
 Here flow-through raw nodes -- exactly one incoming and one outgoing link --
 are dissolved and their links chained into composite links, so the node set
 contains only sources, sinks and true junctions and the graph topology does
-not depend on how densely a contour was sampled.
+not depend on how densely a contour was sampled. assemble() is the one place
+that does this, for the raw graph (build_graph) and after pruning (prune).
 
 Node attributes (radius, per-incident-link tangents/normals, the object angle
 phi between the shock tangent and the contact rays, and the contact points
-bp+/bp-) and link attributes (arc length, curvature samples, acceleration,
-swept area, per-side boundary summaries) are computed analytically from the
-underlying bisectors. Link arc length and label are set at build time; the
-other link attributes are computed on first read (see ShockLink).
+bp+/bp-) and link attributes (arc length, curvature samples, swept area,
+per-side boundary summaries) are computed analytically from the underlying
+bisectors. Link arc length and label are set at assembly; the other link
+attributes are computed on first read (see ShockLink).
 """
 from __future__ import annotations
 
@@ -92,11 +93,12 @@ class BoundaryRef:
 class ShockLink:
     """A composite shock curve between two graph nodes.
 
-    length and label are set when the link is built (validation, pruning
-    and classification read them). The geometric attributes -- curvature
-    samples and their mean, acceleration, swept area and the per-side
-    boundary refs -- are computed from the pieces on first read and cached,
-    so links that pruning replaces never pay for them.
+    length and label are set when the link is assembled (validation,
+    pruning and classification read them). The geometric attributes --
+    curvature samples and their mean, swept area and the per-side boundary
+    refs -- are computed from the pieces on first read and cached, so links
+    that pruning replaces never pay for them. pieces is never mutated after
+    construction.
     """
     id: int
     from_node: int
@@ -104,16 +106,8 @@ class ShockLink:
     pieces: list            # list[Piece], in flow order
     label: str = ""
     length: float = 0.0
-    end_kind: str = "junction"
 
     # -- derived attributes, computed on first read and cached --------------
-
-    @cached_property
-    def _sample_params(self):
-        """(piece index array, s array) at CURVATURE_SAMPLES uniform arc
-        lengths; shared by the curvature and acceleration samples."""
-        return self.piece_params(np.linspace(0.0, self.length,
-                                             CURVATURE_SAMPLES))
 
     @cached_property
     def curvature_samples(self) -> np.ndarray:
@@ -125,10 +119,6 @@ class ShockLink:
     def curvature(self) -> float:
         """Mean of the curvature samples."""
         return float(np.mean(self.curvature_samples))
-
-    @cached_property
-    def acceleration(self) -> float:
-        return _link_acceleration(self)
 
     @cached_property
     def area(self) -> float:
@@ -152,17 +142,14 @@ class ShockLink:
 
     # -- geometry sampling --------------------------------------------------
 
-    def _cum_lengths(self):
-        cum = getattr(self, "_cum_cache", None)
-        if cum is None or len(cum) != len(self.pieces) + 1:
-            cum = np.concatenate(
-                [[0.0], np.cumsum([p.length for p in self.pieces])])
-            self._cum_cache = cum
-        return cum
+    @cached_property
+    def _cum_lengths(self) -> np.ndarray:
+        return np.concatenate(
+            [[0.0], np.cumsum([p.length for p in self.pieces])])
 
     def piece_param(self, u: float):
         """(piece, s) at arc length u from the link start."""
-        cum = self._cum_lengths()
+        cum = self._cum_lengths
         i = min(int(np.searchsorted(cum, u, side="right")) - 1,
                 len(self.pieces) - 1)
         i = max(i, 0)
@@ -171,7 +158,7 @@ class ShockLink:
 
     def piece_params(self, us: np.ndarray):
         """(piece index array, s array) at arc lengths us from the start."""
-        cum = self._cum_lengths()
+        cum = self._cum_lengths
         idx = np.clip(np.searchsorted(cum, us, side="right") - 1,
                       0, len(self.pieces) - 1)
         ss = np.empty(len(us))
@@ -396,42 +383,14 @@ def link_area(link: ShockLink) -> float:
 def _link_curvature(link: ShockLink) -> np.ndarray:
     """Signed curvature at CURVATURE_SAMPLES uniform arc-length samples,
     oriented along the flow direction."""
-    idx, ss = link._sample_params
+    idx, ss = link.piece_params(np.linspace(0.0, link.length,
+                                            CURVATURE_SAMPLES))
     out = np.empty(CURVATURE_SAMPLES)
     for i in np.unique(idx):
         p = link.pieces[i]
         m = idx == i
         out[m] = p.direction * np.asarray(p.bisector.curvature(ss[m]))
     return out
-
-
-def _link_acceleration(link: ShockLink) -> float:
-    """Mean d(speed)/dt with speed = dr/dt-normalized flow 1/r'(s); computed
-    as -r''/r'^3 with r'' by central differencing of the analytic r'. Samples
-    where the shock is (nearly) orthogonal to its generators (r' ~ 0, speed
-    unbounded) contribute 0."""
-    if link.length <= 0.0:
-        return 0.0
-    h = max(1e-6, 1e-6 * link.length)
-    idx, ss = link._sample_params
-    vals = np.zeros(CURVATURE_SAMPLES)
-    for i in np.unique(idx):
-        p = link.pieces[i]
-        bis = p.bisector
-        m = idx == i
-        s = ss[m]
-        lo = np.maximum(min(p.s0, p.s1), s - h)
-        hi = np.minimum(max(p.s0, p.s1), s + h)
-        span = hi - lo
-        d1 = p.direction * np.asarray(bis.dradius(s), dtype=float)
-        ok = (span > 0.0) & (np.abs(d1) >= 1e-6)
-        d2 = np.zeros_like(s)
-        if ok.any():
-            d2[ok] = (np.asarray(bis.dradius(hi[ok]), dtype=float)
-                      - np.asarray(bis.dradius(lo[ok]), dtype=float)) \
-                / span[ok]
-        vals[m] = np.where(ok, -d2 / np.where(ok, d1, 1.0) ** 3, 0.0)
-    return float(np.mean(vals))
 
 
 def _boundary_refs(link: ShockLink) -> tuple[BoundaryRef, BoundaryRef]:
@@ -451,13 +410,6 @@ def _boundary_refs(link: ShockLink) -> tuple[BoundaryRef, BoundaryRef]:
             arclen += math.hypot(c1[0] - c0[0], c1[1] - c0[1])
         refs.append(BoundaryRef(tuple(gens), arclen, 0.0))
     return refs[0], refs[1]
-
-
-def _finalize_link(link: ShockLink, is_point: dict) -> None:
-    """Set the attributes that validation and classification need; the
-    geometric ones are computed by the link on first read."""
-    link.length = sum(p.length for p in link.pieces)
-    link.label = classify_link(link, is_point)
 
 
 # ---------------------------------------------------------------------------
@@ -507,25 +459,100 @@ def _populate_node(node: ShockNode, graph: ShockGraph,
 
 
 # ---------------------------------------------------------------------------
+# Assembly
+# ---------------------------------------------------------------------------
+
+def assemble(links, node_src, elements: list[BoundaryElement], stats: dict,
+             keep_isolated=(), scene: tuple = None) -> ShockGraph:
+    """Shock graph over the given links, with flow-through nodes dissolved.
+
+    links are (id, from node, to node, pieces) tuples with unique ids; node
+    ids index node_src, whose entries give .location and .radius. Links are
+    chained across nodes with exactly one incoming and one outgoing link,
+    walking in link-id order from every link that leaves another kind of
+    node; what is left sits on pure flow-through cycles (closed shock loops
+    with no junction), each anchored at the tail of its lowest-id link. The
+    surviving nodes keep their order and are renumbered densely;
+    keep_isolated nodes survive without links, as sinks. stats becomes the
+    graph's stats dict.
+    """
+    n_in: dict[int, list] = {}
+    n_out: dict[int, list] = {}
+    for ln in links:
+        n_out.setdefault(ln[1], []).append(ln)
+        n_in.setdefault(ln[2], []).append(ln)
+
+    def flow_through(nid):
+        return len(n_in.get(nid, ())) == 1 and len(n_out.get(nid, ())) == 1
+
+    visited = set()
+    chains = []
+
+    def walk(ln):
+        run = [ln]
+        visited.add(ln[0])
+        while flow_through(ln[2]):
+            nxt = n_out[ln[2]][0]
+            if nxt[0] in visited:
+                break  # cycle closed
+            run.append(nxt)
+            visited.add(nxt[0])
+            ln = nxt
+        chains.append(run)
+
+    ordered = sorted(links, key=lambda ln: ln[0])
+    for ln in ordered:
+        if ln[0] not in visited and not flow_through(ln[1]):
+            walk(ln)
+    for ln in ordered:
+        if ln[0] not in visited:
+            walk(ln)
+
+    used = sorted({run[0][1] for run in chains} | {run[-1][2] for run in chains}
+                  | set(keep_isolated))
+    node_index = {nid: i for i, nid in enumerate(used)}
+    nodes = [ShockNode(i, node_src[nid].location, node_src[nid].radius)
+             for nid, i in node_index.items()]
+    for nid in keep_isolated:
+        # a pruned-away component collapses onto its latest node, which
+        # survives as the sink the whole component flowed into
+        nodes[node_index[nid]].label = SINK
+
+    is_point = {e.id: e.is_point for e in elements}
+    out = []
+    for run in chains:
+        pieces = [p for ln in run for p in ln[3]]
+        link = ShockLink(len(out), node_index[run[0][1]],
+                         node_index[run[-1][2]], pieces,
+                         length=sum(p.length for p in pieces))
+        link.label = classify_link(link, is_point)
+        out.append(link)
+        nodes[link.from_node].link_ids.append(link.id)
+        nodes[link.from_node].outgoing.append(True)
+        nodes[link.to_node].link_ids.append(link.id)
+        nodes[link.to_node].outgoing.append(False)
+
+    graph = ShockGraph(nodes, out, scene=scene, stats=stats)
+    by_id = {e.id: e for e in elements}
+    for nd in nodes:
+        _populate_node(nd, graph, by_id)
+    return graph
+
+
+# ---------------------------------------------------------------------------
 # Raw graph -> shock graph
 # ---------------------------------------------------------------------------
 
-def _snap_duplicate_nodes(raw) -> dict:
+def _snap_duplicate_nodes(raw, locs: np.ndarray, tol: float) -> dict:
     """Map raw node ids onto representatives, merging near-duplicates.
 
     A junction can be realized twice: once as a crossing root on one shock
     and once as another shock's domain end. Near a foot-window edge the
     crossing deficit vanishes to second order, so the two positions agree
     only to ~sqrt(machine eps) of the scene scale, which can exceed the
-    engine's merge tolerance. Nodes within that scatter whose generator
-    sets are nested are the same junction; snap them together."""
+    engine's merge tolerance. Nodes within that scatter (tol) whose
+    generator sets are nested are the same junction; snap them together."""
     n = len(raw.nodes)
-    if n == 0:
-        return {}
-    locs = np.array([nd.location for nd in raw.nodes])
-    span = max(np.ptp(locs[:, 0]), np.ptp(locs[:, 1]), 1.0)
-    tol = 1e-6 * span
-
     parent = list(range(n))
 
     def find(i):
@@ -551,107 +578,38 @@ def _snap_duplicate_nodes(raw) -> dict:
     return {i: find(i) for i in range(n)}
 
 
-def _chain_raw_links(raw, node_map: dict) -> list[tuple[int, int, list, str]]:
-    """Merge raw links across flow-through nodes (exactly 1 in / 1 out).
-
-    Returns (from_raw_node, to_raw_node, [raw links], end_kind) per chain,
-    with node ids already snapped through node_map. Pure cycles of
-    flow-through nodes (closed shock loops with no junction) are anchored
-    at their lowest-id node, which is then retained."""
-    ends = {rl.id: (node_map[rl.node_from], node_map[rl.node_to])
-            for rl in raw.links}
-    # self-loops no longer than the node-snap scatter are slack closed by
-    # the snap, not geometry; keeping them would freeze phantom junctions
-    if raw.nodes:
-        locs = np.array([nd.location for nd in raw.nodes])
-        span = max(np.ptp(locs[:, 0]), np.ptp(locs[:, 1]), 1.0)
-    else:
-        span = 1.0
-    loop_tol = 1e-5 * span
-    n_in: dict[int, list] = {}
-    n_out: dict[int, list] = {}
-    for rl in raw.links:
-        frm, to = ends[rl.id]
-        if frm == to and rl.length <= loop_tol:
-            continue
-        n_out.setdefault(frm, []).append(rl)
-        n_in.setdefault(to, []).append(rl)
-
-    def flow_through(nid):
-        return len(n_in.get(nid, ())) == 1 and len(n_out.get(nid, ())) == 1
-
-    visited = set()
-    chains = []
-
-    def walk(rl):
-        run = [rl]
-        visited.add(rl.id)
-        while flow_through(ends[rl.id][1]):
-            nxt = n_out[ends[rl.id][1]][0]
-            if nxt.id in visited:
-                break  # cycle closed
-            run.append(nxt)
-            visited.add(nxt.id)
-            rl = nxt
-        chains.append((ends[run[0].id][0], ends[run[-1].id][1], run,
-                       run[-1].end_kind))
-
-    live = sorted((rl for rl in raw.links if rl.id in ends
-                   and (ends[rl.id][0] != ends[rl.id][1]
-                        or rl.length > loop_tol)), key=lambda l: l.id)
-    for rl in live:
-        if rl.id not in visited and not flow_through(ends[rl.id][0]):
-            walk(rl)
-    # anything left sits on pure flow-through cycles
-    for rl in live:
-        if rl.id not in visited:
-            walk(rl)
-    return chains
-
-
 def build_graph(raw, elements: list[BoundaryElement],
                 scene: tuple = None) -> ShockGraph:
     """Build the attributed shock graph from the engine's raw output.
 
-    Raw nodes with exactly one incoming and one outgoing link are generator
-    transitions, not graph features; their links are chained into composite
-    links. Isolated raw nodes (candidates whose every outflow died instantly)
-    are dropped and counted in stats["isolated_dropped"].
-
-    Each link gets its arc length and label here; its curvature,
-    acceleration, area and boundary refs are computed when first read.
+    Near-duplicate raw nodes are snapped together, and the self-loops that
+    the snap closes over its own scatter are dropped as slack. The rest is
+    assemble(): raw nodes with exactly one incoming and one outgoing link
+    are generator transitions, not graph features, and their links are
+    chained into composite links. Isolated raw nodes (candidates whose
+    every outflow died instantly) are dropped and counted in
+    stats["isolated_dropped"]; stats["dissolved_flow_through"] counts the
+    raw links that did not survive as links of their own.
     """
-    by_id = {e.id: e for e in elements}
-    is_point = {e.id: e.is_point for e in elements}
-
-    node_map = _snap_duplicate_nodes(raw)
-    chains = _chain_raw_links(raw, node_map)
-    used_raw_nodes = sorted({c[0] for c in chains} | {c[1] for c in chains})
-    node_index = {rid: i for i, rid in enumerate(used_raw_nodes)}
-
-    nodes = [ShockNode(i, raw.nodes[rid].location, raw.nodes[rid].radius)
-             for rid, i in node_index.items()]
-
+    span = 1.0
+    node_map = {}
+    if raw.nodes:
+        locs = np.array([nd.location for nd in raw.nodes])
+        span = max(np.ptp(locs[:, 0]), np.ptp(locs[:, 1]), 1.0)
+        node_map = _snap_duplicate_nodes(raw, locs, 1e-6 * span)
+    # self-loops no longer than the node-snap scatter are slack closed by
+    # the snap, not geometry; keeping them would freeze phantom junctions
+    loop_tol = 1e-5 * span
     links = []
-    for frm, to, run, end_kind in chains:
-        pieces = [Piece(rl.bisector, rl.s_from, rl.s_to) for rl in run]
-        ln = ShockLink(len(links), node_index[frm], node_index[to], pieces,
-                       end_kind=end_kind)
-        _finalize_link(ln, is_point)
-        links.append(ln)
+    for rl in raw.links:
+        frm, to = node_map[rl.node_from], node_map[rl.node_to]
+        if frm != to or rl.length > loop_tol:
+            links.append((rl.id, frm, to,
+                          [Piece(rl.bisector, rl.s_from, rl.s_to)]))
 
-    stats = dict(raw.stats)
-    stats["isolated_dropped"] = len(raw.nodes) - len(nodes)
-    stats["dissolved_flow_through"] = len(raw.links) - len(links)
-    graph = ShockGraph(nodes, links, scene=scene, stats=stats)
-
-    for ln in links:
-        nodes[ln.from_node].link_ids.append(ln.id)
-        nodes[ln.from_node].outgoing.append(True)
-        nodes[ln.to_node].link_ids.append(ln.id)
-        nodes[ln.to_node].outgoing.append(False)
-    for nd in nodes:
-        _populate_node(nd, graph, by_id)
+    graph = assemble(links, raw.nodes, elements, dict(raw.stats), scene=scene)
+    graph.stats["isolated_dropped"] = len(raw.nodes) - len(graph.nodes)
+    graph.stats["dissolved_flow_through"] = len(raw.links) - len(graph.links)
     return graph
 
 

@@ -20,8 +20,7 @@ import numpy as np
 from .contours import ContourFragment
 from .errors import InvalidInputError
 from .geometry import Rect
-from .graph import (SINK, ShockGraph, ShockLink, ShockNode, _finalize_link,
-                    _populate_node)
+from .graph import ShockGraph, ShockLink, assemble
 
 _CORNER_RADIUS_EPS = 1e-7   # leaf radii below this count as boundary-rooted
 _PRUNE_SLACK = 1e-12
@@ -156,75 +155,6 @@ def saliency(link: ShockLink, graph: ShockGraph) -> SaliencyScore:
 # Pruning
 # ---------------------------------------------------------------------------
 
-def _rebuild(graph: ShockGraph, alive: dict, elements,
-             stats_extra: dict, keep_isolated=()) -> ShockGraph:
-    """New ShockGraph from the surviving links, chaining across nodes left
-    with exactly one inflow and one outflow."""
-    n_in: dict[int, list] = {}
-    n_out: dict[int, list] = {}
-    for ln in alive.values():
-        n_out.setdefault(ln.from_node, []).append(ln)
-        n_in.setdefault(ln.to_node, []).append(ln)
-
-    def flow_through(nid):
-        return len(n_in.get(nid, ())) == 1 and len(n_out.get(nid, ())) == 1
-
-    visited = set()
-    chains = []
-
-    def walk(ln):
-        run = [ln]
-        visited.add(ln.id)
-        while flow_through(ln.to_node):
-            nxt = n_out[ln.to_node][0]
-            if nxt.id in visited:
-                break
-            run.append(nxt)
-            visited.add(nxt.id)
-            ln = nxt
-        chains.append(run)
-
-    for ln in sorted(alive.values(), key=lambda l: l.id):
-        if ln.id not in visited and not flow_through(ln.from_node):
-            walk(ln)
-    for ln in sorted(alive.values(), key=lambda l: l.id):
-        if ln.id not in visited:
-            walk(ln)
-
-    by_id = {e.id: e for e in elements}
-    is_point = {e.id: e.is_point for e in elements}
-    used = sorted({run[0].from_node for run in chains}
-                  | {run[-1].to_node for run in chains}
-                  | set(keep_isolated))
-    node_index = {nid: i for i, nid in enumerate(used)}
-    nodes = [ShockNode(i, graph.nodes[nid].location, graph.nodes[nid].radius)
-             for nid, i in node_index.items()]
-    for nid in keep_isolated:
-        # a pruned-away component collapses onto its latest node, which
-        # survives as the sink the whole component flowed into
-        nodes[node_index[nid]].label = SINK
-    links = []
-    for run in chains:
-        pieces = [p for ln in run for p in ln.pieces]
-        merged = ShockLink(len(links), node_index[run[0].from_node],
-                           node_index[run[-1].to_node], pieces,
-                           end_kind=run[-1].end_kind)
-        _finalize_link(merged, is_point)
-        links.append(merged)
-
-    stats = dict(graph.stats)
-    stats.update(stats_extra)
-    out = ShockGraph(nodes, links, scene=graph.scene, stats=stats)
-    for ln in links:
-        nodes[ln.from_node].link_ids.append(ln.id)
-        nodes[ln.from_node].outgoing.append(True)
-        nodes[ln.to_node].link_ids.append(ln.id)
-        nodes[ln.to_node].outgoing.append(False)
-    for nd in nodes:
-        _populate_node(nd, out, by_id)
-    return out
-
-
 def _is_box_side(link: ShockLink, box_elem_ids: set) -> bool:
     """True when either contact side of the link is generated entirely by
     bounding-box elements."""
@@ -300,7 +230,8 @@ def prune(graph: ShockGraph, elements, lam: float = 1.0,
                     remove(rid, keep_node=far)
                     pruned += 1
                     changed = True
-    return _rebuild(graph, alive, elements,
-                    {"pruned_links": pruned, "dropped_box_links": dropped_box,
-                     "lambda": lam},
-                    keep_isolated=collapse_sinks)
+    stats = {**graph.stats, "pruned_links": pruned,
+             "dropped_box_links": dropped_box, "lambda": lam}
+    return assemble([(ln.id, ln.from_node, ln.to_node, ln.pieces)
+                     for ln in alive.values()], graph.nodes, elements, stats,
+                    keep_isolated=collapse_sinks, scene=graph.scene)

@@ -21,6 +21,7 @@ from shockgraph.bisectors import (bisector_endpoint_own_segment,
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
                                  check_no_crossings, decompose,
                                  resample_polyline)
+from shockgraph.corpus import verify_corpus
 from shockgraph.export import format_sgtext, parse_sgtext, to_sgtext
 from shockgraph.features import (FEATURE_LENGTH, PREFIX_LENGTH, edge_features,
                                  node_features)
@@ -225,6 +226,15 @@ def test_golden_equilateral_point_triple():
                key=lambda n: np.hypot(n.location[0], n.location[1]))
     assert np.hypot(*best.location) <= 1e-9
     assert abs(best.radius - 2.0 / math.sqrt(3.0)) <= 1e-9
+
+
+def test_golden_corpus_verifies():
+    """Every scene of the golden corpus, built and pruned, meets the
+    expectations of its manifest entry."""
+    results = verify_corpus()
+    assert results
+    diffs = {r.scene_file: r.diffs for r in results if not r.ok}
+    assert not diffs, diffs
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +460,9 @@ def test_determinism_byte_identical_sgtext():
     frags, _ = random_scene(15, 9)
     outs = []
     for _ in range(2):
-        graph, _, _, _ = _build(list(frags), 100, 100, lam=1.0)
+        graph, elements, _, box_fid = _build(list(frags), 100, 100, lam=1.0)
         outs.append(to_sgtext(graph, 100, 100, 1.0, 2.0))
     assert outs[0] == outs[1]
+    # re-assembling an assembled graph is a byte-level fixed point
+    again = prune(graph, elements, lam=1.0, box_fragment_id=box_fid)
+    assert to_sgtext(again, 100, 100, 1.0, 2.0) == outs[0]
