@@ -14,7 +14,6 @@ only where arc length is an output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -444,25 +443,6 @@ class ParabolaBisector(Bisector):
         return inside
 
 
-@dataclass
-class ShockDynamics:
-    """Callable view of shock dynamics along a bisector."""
-    bisector: Bisector
-
-    def radius(self, s):
-        return self.bisector.radius(s)
-
-    def flow(self, s):
-        return self.bisector.dradius(s)
-
-    def contact_points(self, s):
-        return self.bisector.contacts(s)
-
-    def half_angle(self, s):
-        dr = np.clip(np.abs(self.bisector.dradius(s)), 0.0, 1.0)
-        return np.arccos(dr)
-
-
 # ---------------------------------------------------------------------------
 # Constructors for each pair kind
 # ---------------------------------------------------------------------------
@@ -476,8 +456,7 @@ def _seg_frame(seg: BoundaryElement):
 
 
 def bisector_point_point(a, b, id_a=-1, id_b=-2):
-    bis = PointPointBisector(a, b, id_a, id_b)
-    return bis, ShockDynamics(bis)
+    return PointPointBisector(a, b, id_a, id_b)
 
 
 def _seg_contact_fn(a, d):
@@ -585,8 +564,7 @@ def bisector_segment_segment(u: BoundaryElement, v: BoundaryElement):
     branches = _segment_pair_branches(u, v)
     if not branches:
         raise InvalidInputError("segment pair admits no interior-foot bisector")
-    bis = branches[0]
-    return bis, ShockDynamics(bis)
+    return branches[0]
 
 
 def bisector_point_segment(p: BoundaryElement, seg: BoundaryElement):
@@ -601,7 +579,7 @@ def bisector_point_segment(p: BoundaryElement, seg: BoundaryElement):
         raise InvalidInputError("point collinear with the supporting line")
     bis = ParabolaBisector((px, py), a, d, L, p.id, seg.id)
     bis.xi_lo, bis.xi_hi = -bis.tF, L - bis.tF
-    return bis, ShockDynamics(bis)
+    return bis
 
 
 def bisector_endpoint_own_segment(p: BoundaryElement, seg: BoundaryElement):
@@ -619,12 +597,8 @@ def bisector_endpoint_own_segment(p: BoundaryElement, seg: BoundaryElement):
     side = cross(direction, mid - origin)
     gp, gm = (seg.id, p.id) if side > 0 else (p.id, seg.id)
     pt = (float(px), float(py))
-    if gp == seg.id:
-        fns = (lambda s: pt, lambda s: pt)
-    else:
-        fns = (lambda s: pt, lambda s: pt)
-    bis = PerpendicularBisector(origin, direction, 1.0, fns, gp, gm)
-    return bis, ShockDynamics(bis)
+    return PerpendicularBisector(origin, direction, 1.0,
+                                 (lambda s: pt, lambda s: pt), gp, gm)
 
 
 # ---------------------------------------------------------------------------
@@ -651,14 +625,12 @@ def make_bisectors(e1: BoundaryElement, e2: BoundaryElement, clip: Rect | None =
     else:
         p, seg = (e1, e2) if e1.kind == POINT else (e2, e1)
         if seg.id in p.adjacency and _is_endpoint(p, seg):
-            bis, _ = bisector_endpoint_own_segment(p, seg)
-            records.append(bis)
+            records.append(bisector_endpoint_own_segment(p, seg))
         else:
             try:
-                bis, _ = bisector_point_segment(p, seg)
+                records.append(bisector_point_segment(p, seg))
             except InvalidInputError:
                 return []
-            records.append(bis)
 
     if clip is None:
         return records

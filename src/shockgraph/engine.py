@@ -49,7 +49,7 @@ class ElementSet:
 
     Proximity queries go through a kd-tree over sample points spaced at most
     SAMPLE_STEP apart, so any point of an element lies within SAMPLE_STEP/2 of
-    a sample; full scans remain as the fallback.
+    a sample; the candidates it returns are then tested exactly.
     """
 
     SAMPLE_STEP = 0.5
@@ -98,25 +98,14 @@ class ElementSet:
         self._rows = list(zip(self._kind.tolist(), self._ax.tolist(),
                               self._ay.tolist(), self._dx.tolist(),
                               self._dy.tolist(), self._L.tolist()))
-        self._tree = None
-        self._sample_eid = None
-
-    def _kd(self):
-        if self._tree is None:
-            xs, eids = [], []
-            if self.pt_xy.shape[0]:
-                xs.append(self.pt_xy)
-                eids.append(self.pt_ids)
-            step = self.SAMPLE_STEP
-            for k in range(self.sg_a.shape[0]):
-                m = max(2, int(math.ceil(self.sg_L[k] / step)) + 1)
-                t = np.linspace(0.0, self.sg_L[k], m)
-                xs.append(self.sg_a[k] + t[:, None] * self.sg_d[k])
-                eids.append(np.full(m, self.sg_ids[k], dtype=int))
-            self._sample_xy = np.vstack(xs)
-            self._sample_eid = np.concatenate(eids)
-            self._tree = cKDTree(self._sample_xy)
-        return self._tree
+        xs, eids = [self.pt_xy], [self.pt_ids]
+        for k in range(self.sg_a.shape[0]):
+            m = max(2, int(math.ceil(self.sg_L[k] / self.SAMPLE_STEP)) + 1)
+            t = np.linspace(0.0, self.sg_L[k], m)
+            xs.append(self.sg_a[k] + t[:, None] * self.sg_d[k])
+            eids.append(np.full(m, self.sg_ids[k], dtype=int))
+        self._sample_eid = np.concatenate(eids)
+        self._tree = cKDTree(np.vstack(xs))
 
     def open_dist_one(self, eid: int, q) -> float:
         """Exact open distance from q to element eid."""
@@ -143,7 +132,7 @@ class ElementSet:
         """Distinct element ids outside exclude_ids with a sample within
         radius + SAMPLE_STEP/2 of q: a superset of the elements within
         radius of q."""
-        sids = self._kd().query_ball_point(
+        sids = self._tree.query_ball_point(
             q, radius + 0.5 * self.SAMPLE_STEP + 1e-9)
         return set(self._sample_eid[sids].tolist()).difference(exclude_ids)
 
@@ -166,40 +155,57 @@ class ElementSet:
 
     def min_third(self, q, exclude_ids) -> float:
         """Minimum open distance from q over elements not in exclude_ids."""
-        if self.n > 48:
-            tree = self._kd()
-            nsamp = len(self._sample_eid)
-            k = 16
-            while True:
-                ds, idx = tree.query(q, k=min(k, nsamp))
-                eids = np.unique(self._sample_eid[idx])
-                for eid in exclude_ids:
-                    eids = eids[eids != eid]
-                best = float(self.nearest_distance([q], eids)[0]) \
-                    if len(eids) else _INF
-                # any element unseen here is at least this far away
-                bound = float(ds[-1]) - 0.5 * self.SAMPLE_STEP
-                if best <= bound or k >= nsamp:
-                    return best
-                k *= 4
-        d = self.open_distances_many([q])[0]
-        for eid in exclude_ids:
-            d[eid] = _INF
-        return float(d.min())
+        nsamp = len(self._sample_eid)
+        k = 16
+        while True:
+            ds, idx = self._tree.query(q, k=min(k, nsamp))
+            eids = np.unique(self._sample_eid[idx])
+            for eid in exclude_ids:
+                eids = eids[eids != eid]
+            best = float(self.nearest_distance([q], eids)[0]) \
+                if len(eids) else _INF
+            # any element unseen here is at least this far away
+            bound = float(ds[-1]) - 0.5 * self.SAMPLE_STEP
+            if best <= bound or k >= nsamp:
+                return best
+            k *= 4
 
     def any_closer(self, q, thresh, exclude_ids) -> bool:
         """True iff some element outside exclude_ids has open distance < thresh."""
-        if self.n > 48:
-            q = (float(q[0]), float(q[1]))
-            return any(self.open_dist_one(eid, q) < thresh
-                       for eid in self._ball_elements(q, thresh, exclude_ids))
-        return self.min_third(q, exclude_ids) < thresh
+        q = (float(q[0]), float(q[1]))
+        return any(self.open_dist_one(eid, q) < thresh
+                   for eid in self._ball_elements(q, thresh, exclude_ids))
 
-    def min_third_many(self, pts, exclude_ids):
-        d = self.open_distances_many(pts)
-        for eid in exclude_ids:
-            d[:, eid] = _INF
-        return d.min(axis=1)
+    def min_third_along(self, pts, radii, exclude_ids):
+        """(K,) minimum open distance from each of pts (K, 2) over elements
+        outside exclude_ids, exact wherever it is below that point's radius
+        in radii; elsewhere it may be larger (+inf when no element is near).
+        """
+        mid = 0.5 * (pts[0] + pts[-1])
+        reach = float(np.hypot(pts[:, 0] - mid[0], pts[:, 1] - mid[1]).max()) \
+            + float(radii.max())
+        near = self._ball_elements(mid, reach, exclude_ids)
+        if not near:
+            return np.full(len(pts), _INF)
+        return self.nearest_distance(pts, sorted(near))
+
+    def maybe_valid(self, locs, times, g1, g2):
+        """Boolean mask over candidate shock sources (locs (K, 2), formation
+        times, generator ids g1/g2), False where a sample of a non-generator
+        element lies closer than the formation time.  A sample's distance
+        bounds its element's distance from above, so False proves the
+        candidate invalid.  The nearest sample settles almost every
+        candidate; the rest are checked against their 8 nearest."""
+        ds, idx = self._tree.query(locs, k=1, workers=-1)
+        eids = self._sample_eid[idx]
+        alive = (eids == g1) | (eids == g2) | (ds >= times - 1e-9)
+        rest = np.nonzero(alive)[0]
+        ds, idx = self._tree.query(locs[rest], k=min(8, len(self._sample_eid)),
+                                   workers=-1)
+        eids = self._sample_eid[idx]
+        nongen = (eids != g1[rest, None]) & (eids != g2[rest, None])
+        alive[rest] = np.where(nongen, ds, _INF).min(axis=1) >= times[rest] - 1e-9
+        return alive
 
     def nearest_distance(self, pts, elem_ids):
         """(K,) minimum open distance from each of pts to the given element
@@ -227,22 +233,14 @@ class ElementSet:
         """Element ids whose CLOSED distance (segments clamped to their
         endpoints) from q is <= radius."""
         q = (float(q[0]), float(q[1]))
-        if self.n > 48:
-            eids = self._ball_elements(q, radius, exclude_ids)
-        else:
-            eids = [e for e in range(self.n) if e not in exclude_ids]
-        return sorted(e for e in eids if self._closed_dist_one(e, q) <= radius)
+        return sorted(e for e in self._ball_elements(q, radius, exclude_ids)
+                      if self._closed_dist_one(e, q) <= radius)
 
     def near_elements(self, q, radius, exclude_ids):
         """Element ids whose open distance from q is <= radius."""
-        if self.n > 48:
-            q = (float(q[0]), float(q[1]))
-            return sorted(e for e in self._ball_elements(q, radius, exclude_ids)
-                          if self.open_dist_one(e, q) <= radius)
-        d = self.open_distances_many([q])[0]
-        for eid in exclude_ids:
-            d[eid] = _INF
-        return [int(i) for i in np.nonzero(d <= radius)[0]]
+        q = (float(q[0]), float(q[1]))
+        return sorted(e for e in self._ball_elements(q, radius, exclude_ids)
+                      if self.open_dist_one(e, q) <= radius)
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +482,10 @@ _SWEEP_FRAC = np.linspace(0.0, 1.0, 34)[1:-1]
 
 class Engine:
     def __init__(self, elements: list[BoundaryElement], box: Rect,
-                 event_budget: int | None = None, check_crossings: bool = True):
+                 event_budget: int | None = None):
         if not elements:
             raise InvalidInputError("no boundary elements")
-        if check_crossings:
-            check_no_crossings(elements)
+        check_no_crossings(elements)
         self.elements = elements
         self.eset = ElementSet(elements)
         self.box = box
@@ -834,24 +831,10 @@ class Engine:
         ts = s0 + _SWEEP_FRAC * (s_end - s0)
         pts = rec.point_t(ts)
         rs = np.asarray(rec.radius_t(ts), dtype=float)
-        if self.eset.n > 48:
-            mid = 0.5 * (pts[0] + pts[-1])
-            reach = float(np.hypot(pts[:, 0] - mid[0], pts[:, 1] - mid[1]).max()) \
-                + float(rs.max()) + 0.5 * ElementSet.SAMPLE_STEP + 1e-9
-            sids = self.eset._kd().query_ball_point(mid, reach)
-            near = np.unique(self.eset._sample_eid[sids])
-            near = near[(near != gens[0]) & (near != gens[1])]
-            if len(near):
-                md = self.eset.nearest_distance(pts, near) - rs
-            else:
-                md = np.full(len(ts), _INF)
-        else:
-            md = self.eset.min_third_many(pts, gens) - rs
+        md = self.eset.min_third_along(pts, rs, gens) - rs
         if md.min() < -1e-9 * scale:
             self.stats["sweep_truncations"] = \
                 self.stats.get("sweep_truncations", 0) + 1
-            if getattr(self, "_debug_sweep", None):
-                self._debug_sweep(rec, s0, s_end, ts, md)
             bad = int(np.argmax(md < -1e-9 * scale))
             lo = s0 if bad == 0 else float(ts[bad - 1])
             hi = float(ts[bad])
@@ -888,23 +871,8 @@ class Engine:
         if len(t) == 0:
             return []
         locs = np.column_stack([x, y])
-        alive = np.ones(len(t), dtype=bool)
-        if self.eset.n > 48:
-            # kd prefilter: a non-generator sample closer than the formation
-            # time proves invalidity (sample distance bounds element distance
-            # from above).  The nearest sample settles almost every
-            # candidate; the rest are checked against their 8 nearest.
-            tree = self.eset._kd()
-            ds, idx = tree.query(locs, k=1, workers=-1)
-            eids = self.eset._sample_eid[idx]
-            alive = (eids == g1) | (eids == g2) | (ds >= t - 1e-9)
-            rest = np.nonzero(alive)[0]
-            ds, idx = tree.query(locs[rest], k=8, workers=-1)
-            eids = self.eset._sample_eid[idx]
-            nongen = (eids != g1[rest, None]) & (eids != g2[rest, None])
-            alive[rest] = np.where(nongen, ds, _INF).min(axis=1) >= t[rest] - 1e-9
-        # exact validation of the survivors
-        surv = np.nonzero(alive)[0]
+        # exact validation of the survivors of the sample prefilter
+        surv = np.nonzero(self.eset.maybe_valid(locs, t, g1, g2))[0]
         ok = np.zeros(len(t), dtype=bool)
         for lo in range(0, len(surv), 2048):
             rows = surv[lo:lo + 2048]

@@ -191,14 +191,3 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     db = cKDTree(a).query(b, workers=-1)[0]
     return float(max(da.max(), db.max()))
 
-
-def dump_pgm(field: GridField, path) -> None:
-    """Debug dump of the distance field as a portable graymap."""
-    ny, nx = field.shape
-    img = field.nearest_dist.reshape(ny, nx)
-    mx = img.max() or 1.0
-    gray = np.round(255 * img / mx).astype(int)
-    lines = ["P2", f"{nx} {ny}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in gray[::-1]]
-    from .export import write_text
-    write_text(path, "\n".join(lines) + "\n")

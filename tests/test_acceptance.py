@@ -87,7 +87,7 @@ def test_bisector_equidistance_point_point():
         b = (rng.uniform(0, 100), rng.uniform(0, 100))
         if math.hypot(a[0] - b[0], a[1] - b[1]) < 1e-3:
             b = (a[0] + 1.0, a[1])
-        bis, _ = bisector_point_point(a, b)
+        bis = bisector_point_point(a, b)
         ss = np.array([rng.uniform(-50, 50) for _ in range(N_SAMPLES)])
         pts = bis.point(ss)
         _check_pair(np.hypot(pts[:, 0] - a[0], pts[:, 1] - a[1]),
@@ -134,7 +134,7 @@ def test_bisector_equidistance_point_segment():
         p = (rng.uniform(0, 100), rng.uniform(0, 100))
         pe = BoundaryElement(0, POINT, p, 0)
         try:
-            bis, _ = bisector_point_segment(pe, _seg_elem(1, a, b))
+            bis = bisector_point_segment(pe, _seg_elem(1, a, b))
         except Exception:
             continue
         lo, hi = bis.s_lo, bis.s_hi
@@ -159,7 +159,7 @@ def test_bisector_equidistance_endpoint_own_segment():
         pe = BoundaryElement(0, POINT, tuple(a), 0, adjacency={1})
         se = _seg_elem(1, a, b)
         se.adjacency = {0}
-        bis, _ = bisector_endpoint_own_segment(pe, se)
+        bis = bisector_endpoint_own_segment(pe, se)
         ss = np.array([rng.uniform(-50, 50) for _ in range(N_SAMPLES)])
         pts = bis.point(ss)
         _check_pair(np.hypot(pts[:, 0] - a[0], pts[:, 1] - a[1]),
@@ -176,7 +176,7 @@ def test_parabola_focus_directrix_property():
         p = (rng.uniform(0, 100), rng.uniform(0, 100))
         pe = BoundaryElement(0, POINT, p, 0)
         try:
-            bis, _ = bisector_point_segment(pe, _seg_elem(1, a, b))
+            bis = bisector_point_segment(pe, _seg_elem(1, a, b))
         except Exception:
             continue
         ss = bis.s_lo + (bis.s_hi - bis.s_lo) * np.array(

@@ -27,7 +27,7 @@ def pt(eid, p, adjacency=()):
 
 class TestPointPoint:
     def test_midpoint_and_radius(self):
-        bis, _ = bisector_point_point((0, 0), (4, 0))
+        bis = bisector_point_point((0, 0), (4, 0))
         assert np.allclose(bis.point(0.0), (2, 0))
         assert bis.radius(0.0) == 2.0
         assert np.isclose(bis.radius(3.0), math.hypot(2.0, 3.0))
@@ -37,7 +37,7 @@ class TestPointPoint:
             bisector_point_point((1, 1), (1, 1))
 
     def test_generator_sides(self):
-        bis, _ = bisector_point_point((0, 0), (4, 0), 7, 9)
+        bis = bisector_point_point((0, 0), (4, 0), 7, 9)
         s = 1.0
         p = bis.point(s)
         t = np.asarray(bis.point(s + 1e-6)) - p
@@ -49,18 +49,18 @@ class TestPointPoint:
 
 class TestParabola:
     def test_kind_and_vertex(self):
-        bis, _ = bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))
+        bis = bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))
         assert bis.kind == KIND_PARABOLA
         assert np.allclose(bis.point(0.0), (0, 1))
         assert np.isclose(bis.radius(0.0), 1.0)
 
     def test_arc_length_inverse(self):
-        bis, _ = bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))
+        bis = bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))
         for s in (-3.0, -0.5, 0.0, 1.2, 4.0):
             assert np.isclose(bis.s_of_xi(bis.xi_of_s(s)), s, atol=1e-12)
 
     def test_vector_scalar_agree(self):
-        bis, _ = bisector_point_segment(pt(0, (1, 3)), seg(1, (-5, 0), (6, 1)))
+        bis = bisector_point_segment(pt(0, (1, 3)), seg(1, (-5, 0), (6, 1)))
         ss = np.linspace(bis.s_lo, bis.s_hi, 17)
         vec = bis.point(ss)
         for s, q in zip(ss, vec):
@@ -73,7 +73,7 @@ class TestParabola:
             bisector_point_segment(pt(0, (0, 0)), seg(1, (-5, 0), (5, 0)))
 
     def test_contacts(self):
-        bis, _ = bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))
+        bis = bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))
         focus, foot = bis.contacts(bis.s_of_xi(1.0))
         assert np.allclose(focus, (0, 2))
         assert np.allclose(foot, (1, 0))
@@ -83,7 +83,7 @@ class TestEndpointOwnSegment:
     def test_perpendicular_through_endpoint(self):
         p = pt(0, (0, 0), adjacency=[1])
         s = seg(1, (0, 0), (3, 0), adjacency=[0])
-        bis, _ = bisector_endpoint_own_segment(p, s)
+        bis = bisector_endpoint_own_segment(p, s)
         assert bis.kind == KIND_PERPENDICULAR
         assert np.allclose(bis.point(0.0), (0, 0))
         # the line is perpendicular to the segment
@@ -144,7 +144,7 @@ class TestContactsArray:
             make_bisectors(pt(0, (2, 2)), pt(1, (6, 2)))[0],
             make_bisectors(seg(0, (0, 0), (4, 0)), seg(1, (0, 2), (4, 2)))[0],
             make_bisectors(seg(0, (0, 0), (4, 0)), seg(1, (0, 3), (4, 4)))[0],
-            bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))[0],
+            bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0))),
         ]
         for bis in cases:
             lo = max(bis.s_lo, -5.0)

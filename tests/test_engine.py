@@ -1,11 +1,17 @@
+import math
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from shockgraph import engine
-from shockgraph.contours import check_no_crossings, decompose
+from shockgraph.contours import (POINT, BoundaryElement, check_no_crossings,
+                                 decompose, parse_scene_text)
 from shockgraph.errors import NonterminationError
+from shockgraph.geometry import Rect
+from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box
-from shockgraph.scenes import rectangle_fragment, random_scene
+from shockgraph.scenes import LCG, rectangle_fragment, random_scene
 
 
 def _rectangle_setup():
@@ -83,3 +89,98 @@ class TestDeterminism:
         assert a.stats == b.stats
         for na, nb in zip(a.nodes, b.nodes):
             assert na.location == nb.location
+
+
+class TestBarePoints:
+    """Point sources with no bounding box: the kd-tree holds fewer samples
+    than the candidate prefilter's 8-neighbour query."""
+
+    @staticmethod
+    def _run(points):
+        elements = [BoundaryElement(i, POINT, p, i)
+                    for i, p in enumerate(points)]
+        raw = engine.run(elements, Rect(-10, -10, 10, 10))
+        return raw, build_graph(raw, elements)
+
+    def test_two_points(self):
+        raw, graph = self._run([(-1.0, 0.0), (1.0, 0.0)])
+        assert (len(raw.nodes), len(raw.links)) == (3, 2)
+        assert (len(graph.nodes), len(graph.links)) == (3, 2)
+
+    def test_three_points_meet_at_circumcentre(self):
+        raw, graph = self._run([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0)])
+        assert (len(raw.nodes), len(raw.links)) == (7, 6)
+        assert (len(graph.nodes), len(graph.links)) == (7, 6)
+        centre = [nd for nd in graph.nodes
+                  if math.hypot(nd.location[0] - 2.0,
+                                nd.location[1] - 5.0 / 6.0) <= 1e-9]
+        assert len(centre) == 1
+        assert centre[0].label == "Sink" and centre[0].degree == 3
+        assert abs(centre[0].radius - 13.0 / 6.0) <= 1e-9
+
+
+def _scan_distances(elements, q):
+    """Open and closed distance from q to every element by a direct scan:
+    the open distance of a segment is +inf unless the perpendicular foot is
+    strictly interior; the closed distance clamps the foot to the ends."""
+    n = len(elements)
+    open_d, closed_d = np.empty(n), np.empty(n)
+    for e in elements:
+        if e.kind == POINT:
+            d = math.hypot(q[0] - e.geometry[0], q[1] - e.geometry[1])
+            open_d[e.id] = closed_d[e.id] = d
+            continue
+        a, b = np.asarray(e.geometry, dtype=float)
+        ab, aq = b - a, np.asarray(q) - a
+        t = float(aq @ ab) / float(ab @ ab)
+        foot = a + min(max(t, 0.0), 1.0) * ab
+        closed_d[e.id] = math.hypot(q[0] - foot[0], q[1] - foot[1])
+        open_d[e.id] = closed_d[e.id] if 0.0 < t < 1.0 else math.inf
+    return open_d, closed_d
+
+
+def _corpus_elements():
+    text = resources.files("shockgraph.corpus").joinpath(
+        "rectangle.scene").read_text()
+    width, height, frags = parse_scene_text(text)
+    frags, rect, _ = augment_with_box(frags, width, height)
+    return decompose(frags), rect
+
+
+def _hundred_elements():
+    frags, _ = random_scene(100, 101, width=160.0, height=160.0)
+    frags, rect, _ = augment_with_box(frags, 160, 160)
+    return decompose(frags), rect
+
+
+@pytest.mark.parametrize("scene, n_elements", [
+    pytest.param(_corpus_elements, 16, id="corpus-rectangle"),
+    pytest.param(_hundred_elements, 485, id="hundred")])
+def test_proximity_queries_match_full_scan(scene, n_elements):
+    """The kd-tree queries of ElementSet return what a scan of every
+    element returns, at random query points, radii and excluded pairs."""
+    elements, rect = scene()
+    assert len(elements) == n_elements
+    eset = engine.ElementSet(elements)
+    rng = LCG(7)
+    span = max(rect.xmax - rect.xmin, rect.ymax - rect.ymin)
+    found = 0
+    for _ in range(300):
+        q = (rng.uniform(rect.xmin, rect.xmax), rng.uniform(rect.ymin, rect.ymax))
+        excl = (rng.randint(0, n_elements - 1), rng.randint(0, n_elements - 1))
+        open_d, closed_d = _scan_distances(elements, q)
+        open_d[list(excl)] = closed_d[list(excl)] = math.inf
+        assert eset.min_third(q, excl) == pytest.approx(open_d.min(),
+                                                        rel=1e-12, abs=1e-12)
+        # a random radius, and radii that just reach the nearest element,
+        # whose closest point usually lies between two kd-tree samples
+        for radius in (rng.uniform(0.0, 0.15 * span), open_d.min() + 1e-9,
+                       closed_d.min() + 1e-9):
+            near = [int(i) for i in np.nonzero(open_d <= radius)[0]]
+            assert eset.near_elements(q, radius, excl) == near
+            assert eset.closed_near(q, radius, excl) == \
+                [int(i) for i in np.nonzero(closed_d <= radius)[0]]
+            assert eset.any_closer(q, radius, excl) == \
+                bool((open_d < radius).any())
+            found += len(near)
+    assert found > 100  # the radii reach elements, not only empty discs
