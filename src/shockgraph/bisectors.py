@@ -1,25 +1,25 @@
-"""Analytic bisectors of point/segment source pairs with shock dynamics.
+"""Analytic bisectors of point/segment source pairs.
 
-Every bisector is parametrized by arc length s (unit speed). The radius
-function r(s) is the common distance to the two generators; contacts(s)
-returns the tangency points on each generator, ordered (left-of-+s,
-right-of-+s).
-
-Each bisector also has a natural parameter t in which its point and radius
-are closed form: t = s for the straight kinds, and the directrix coordinate
-xi for parabolas, whose arc length s(xi) has no closed-form inverse.  The
-propagation engine works in t (the *_t methods) and converts to arc length
-only where arc length is an output.
+Every bisector is evaluated in one parameter t, its natural parameter, in
+which point and radius are closed form: t is arc length for the straight
+kinds and the directrix coordinate xi for parabolas, whose arc length s(xi)
+has no closed-form inverse. The domain is [t_lo, t_hi]. The radius function
+r(t) is the common distance to the two generators, dradius(t) its derivative
+per unit arc length, and contacts(t) returns the tangency points on each
+generator, ordered (left-of-+t, right-of-+t). Arc length is an output only:
+s_of_t converts to it, and t_of_s back where samples must be uniform in arc
+length.
 """
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
 from .contours import POINT, SEGMENT, BoundaryElement
 from .errors import DegenerateInputError, InvalidInputError
-from .geometry import EPS_GEOM, PARALLEL_EPS, Rect, cross, dot, perp, unit
+from .geometry import EPS_GEOM, PARALLEL_EPS, Rect, cross, dot, perp
 
 KIND_LINE = "Line"
 KIND_PARABOLA = "Parabola"
@@ -40,70 +40,56 @@ class Bisector:
     """Base class; subclasses provide the analytic parametrization."""
 
     kind: str
-    gen_plus: int   # element id whose contact lies left of the +s tangent
-    gen_minus: int  # element id whose contact lies right of the +s tangent
+    gen_plus: int   # element id whose contact lies left of the +t tangent
+    gen_minus: int  # element id whose contact lies right of the +t tangent
     branch: int = 0
-    s_lo: float = -_UNBOUNDED
-    s_hi: float = _UNBOUNDED
+    t_lo: float = -_UNBOUNDED
+    t_hi: float = _UNBOUNDED
 
-    def point(self, s):
+    def point(self, t):
         raise NotImplementedError
 
-    def tangent(self, s):
+    def tangent(self, t):
         raise NotImplementedError
 
-    def radius(self, s):
+    def radius(self, t):
         raise NotImplementedError
 
-    def dradius(self, s):
+    def dradius(self, t):
+        """dr/ds (per unit arc length) at parameter t."""
         raise NotImplementedError
 
-    def curvature(self, s):
+    def curvature(self, t):
         raise NotImplementedError
 
-    def contacts(self, s):
-        """(bp_plus, bp_minus) tangency points at parameter s."""
+    def contacts(self, t):
+        """(bp_plus, bp_minus) tangency points at parameter t."""
         raise NotImplementedError
 
-    def contacts_array(self, ss):
+    def contacts_array(self, ts):
         """contacts() over a parameter vector: two (n, 2) arrays.  Constant
         contact loci (point generators) are broadcast."""
-        ss = np.asarray(ss, dtype=float)
-        cp, cm = self.contacts(ss)
-        shape = ss.shape + (2,)
+        ts = np.asarray(ts, dtype=float)
+        cp, cm = self.contacts(ts)
+        shape = ts.shape + (2,)
         return (np.broadcast_to(np.asarray(cp, dtype=float), shape),
                 np.broadcast_to(np.asarray(cm, dtype=float), shape))
 
     def argmin_radius(self):
-        """Parameter of the radius minimum over [s_lo, s_hi]."""
-        raise NotImplementedError
-
-    # -- natural parameter t (t = s unless a subclass says otherwise) --------
-    @property
-    def t_lo(self):
-        return self.s_lo
-
-    @property
-    def t_hi(self):
-        return self.s_hi
-
-    def point_t(self, t):
-        return self.point(t)
-
-    def radius_t(self, t):
-        return self.radius(t)
-
-    def dradius_t(self, t):
-        """dr/ds (per unit arc length) at natural parameter t."""
-        return self.dradius(t)
+        """Parameter of the radius minimum over [t_lo, t_hi]."""
+        return min(max(0.0, self.t_lo), self.t_hi)
 
     def s_of_t(self, t):
-        """Arc-length parameter of natural parameter t."""
+        """Arc length at parameter t."""
         return t
 
-    def argmin_radius_t(self):
-        """Natural parameter of the radius minimum over [t_lo, t_hi]."""
-        return self.argmin_radius()
+    def t_of_s(self, s):
+        """Parameter at arc length s."""
+        return s
+
+    def rect_intervals(self, rect: Rect):
+        """Parameter intervals of the bisector inside rect."""
+        raise NotImplementedError
 
     @property
     def pair(self):
@@ -114,58 +100,57 @@ class Bisector:
     def branch_key(self):
         return (*self.pair, self.branch)
 
-    def with_domain(self, s_lo, s_hi):
-        import copy
+    def with_domain(self, t_lo, t_hi):
         b = copy.copy(self)
-        b.s_lo, b.s_hi = float(s_lo), float(s_hi)
+        b.t_lo, b.t_hi = float(t_lo), float(t_hi)
         return b
 
     def __repr__(self):
         return (f"{type(self).__name__}(gen+={self.gen_plus}, gen-={self.gen_minus}, "
-                f"dom=[{self.s_lo:.6g}, {self.s_hi:.6g}])")
+                f"dom=[{self.t_lo:.6g}, {self.t_hi:.6g}])")
 
 
 class _LineLike(Bisector):
-    """Straight bisector: p(s) = origin + s * direction."""
+    """Straight bisector: p(t) = origin + t * direction, t = arc length."""
 
     def __init__(self, origin, direction):
         self.origin = np.asarray(origin, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
 
-    def point(self, s):
-        if isinstance(s, (float, int)):
+    def point(self, t):
+        if isinstance(t, (float, int)):
             o, d = self.origin, self.direction
-            return np.array([o[0] + s * d[0], o[1] + s * d[1]])
-        s = np.asarray(s, dtype=float)
-        return self.origin + np.multiply.outer(s, self.direction)
+            return np.array([o[0] + t * d[0], o[1] + t * d[1]])
+        t = np.asarray(t, dtype=float)
+        return self.origin + np.multiply.outer(t, self.direction)
 
-    def tangent(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.broadcast_to(self.direction, s.shape + (2,)).copy() \
-            if s.ndim else self.direction
+    def tangent(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.broadcast_to(self.direction, t.shape + (2,)).copy() \
+            if t.ndim else self.direction
 
-    def curvature(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
+    def curvature(self, t):
+        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
 
-    def clip_to_rect(self, rect: Rect):
-        """Liang-Barsky: s-interval of the line inside rect (None if empty)."""
+    def rect_intervals(self, rect: Rect):
+        """Liang-Barsky: the t-interval of the line inside rect, if any."""
         o, d = self.origin, self.direction
         lo, hi = -_UNBOUNDED, _UNBOUNDED
         for oc, dc, mn, mx in ((o[0], d[0], rect.xmin, rect.xmax),
                                (o[1], d[1], rect.ymin, rect.ymax)):
             if abs(dc) < 1e-300:
                 if not (mn <= oc <= mx):
-                    return None
+                    return []
                 continue
             t0, t1 = (mn - oc) / dc, (mx - oc) / dc
             if t0 > t1:
                 t0, t1 = t1, t0
             lo, hi = max(lo, t0), min(hi, t1)
-        return (lo, hi) if lo < hi else None
+        return [(lo, hi)] if lo < hi else []
 
 
 class PointPointBisector(_LineLike):
-    """Perpendicular bisector line of two points; r(s) = hypot(half, s)."""
+    """Perpendicular bisector line of two points; r(t) = hypot(half, t)."""
 
     kind = KIND_LINE
 
@@ -179,43 +164,37 @@ class PointPointBisector(_LineLike):
         super().__init__((a + b) / 2.0, perp(d) / L)
         self.half = L / 2.0
         self.a, self.b = a, b
-        # a lies left of the +s tangent (perp rotates +90deg)
+        # a lies left of the +t tangent (perp rotates +90deg)
         self.gen_plus, self.gen_minus = id_a, id_b
 
-    def radius(self, s):
-        return np.hypot(self.half, s)
+    def radius(self, t):
+        return np.hypot(self.half, t)
 
-    def dradius(self, s):
-        return np.asarray(s) / np.hypot(self.half, s)
+    def dradius(self, t):
+        return np.asarray(t) / np.hypot(self.half, t)
 
-    def contacts(self, s):
+    def contacts(self, t):
         return tuple(self.a), tuple(self.b)
-
-    def argmin_radius(self):
-        return min(max(0.0, self.s_lo), self.s_hi)
 
 
 class LinearRadiusLine(_LineLike):
-    """Line bisector with r(s) = slope * |s - s_apex| (segment pairs and
+    """Line bisector with r(t) = slope * |t - t_apex| (segment pairs and
     endpoint perpendiculars)."""
 
     def __init__(self, origin, direction, slope, contact_fns, gen_plus, gen_minus):
         super().__init__(origin, direction)
         self.slope = float(slope)
-        self._contact_fns = contact_fns  # (plus_fn, minus_fn) of s
+        self._contact_fns = contact_fns  # (plus_fn, minus_fn) of t
         self.gen_plus, self.gen_minus = gen_plus, gen_minus
 
-    def radius(self, s):
-        return self.slope * np.abs(np.asarray(s, dtype=float))
+    def radius(self, t):
+        return self.slope * np.abs(np.asarray(t, dtype=float))
 
-    def dradius(self, s):
-        return self.slope * np.sign(np.asarray(s, dtype=float))
+    def dradius(self, t):
+        return self.slope * np.sign(np.asarray(t, dtype=float))
 
-    def contacts(self, s):
-        return self._contact_fns[0](s), self._contact_fns[1](s)
-
-    def argmin_radius(self):
-        return min(max(0.0, self.s_lo), self.s_hi)
+    def contacts(self, t):
+        return self._contact_fns[0](t), self._contact_fns[1](t)
 
 
 class PerpendicularBisector(LinearRadiusLine):
@@ -237,28 +216,26 @@ class MidlineBisector(_LineLike):
         self._contact_fns = contact_fns
         self.gen_plus, self.gen_minus = gen_plus, gen_minus
 
-    def radius(self, s):
-        return np.full_like(np.asarray(s, dtype=float), self.r0) \
-            if np.ndim(s) else self.r0
+    def radius(self, t):
+        return np.full_like(np.asarray(t, dtype=float), self.r0) \
+            if np.ndim(t) else self.r0
 
-    def dradius(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
+    def dradius(self, t):
+        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
 
-    def contacts(self, s):
-        return self._contact_fns[0](s), self._contact_fns[1](s)
+    def contacts(self, t):
+        return self._contact_fns[0](t), self._contact_fns[1](t)
 
     def argmin_radius(self):
-        return 0.5 * (self.s_lo + self.s_hi)
+        return 0.5 * (self.t_lo + self.t_hi)
 
 
 class ParabolaBisector(Bisector):
     """Bisector of a point (focus) and a segment's supporting line (directrix),
-    arc-length parametrized with s = 0 at the vertex.
-
-    Its natural parameter is the directrix coordinate xi: the point is
-    F + xi e1 + eta(xi) n with eta = (xi^2 + h^2) / (2h), which is also the
-    radius. The domain is kept as [xi_lo, xi_hi]; s_lo and s_hi follow from
-    it through the closed-form s(xi)."""
+    parametrized by the directrix coordinate t = xi, with xi = 0 at the
+    vertex: the point is F + xi e1 + eta(xi) n with eta = (xi^2 + h^2) / (2h),
+    which is also the radius. Arc length s(xi) is closed form (s_of_xi);
+    its inverse xi_of_s is Newton's method."""
 
     kind = KIND_PARABOLA
 
@@ -279,35 +256,7 @@ class ParabolaBisector(Bisector):
         self.h = h
         self.tF = tF           # segment parameter of F
         self.seg_len = float(seg_len)
-        self.gen_plus, self.gen_minus = id_point, id_seg  # focus is left of +s
-        self.xi_lo, self.xi_hi = -_UNBOUNDED, _UNBOUNDED
-
-    # -- domain ------------------------------------------------------------
-    @property
-    def s_lo(self):
-        return float(self.s_of_xi(self.xi_lo))
-
-    @property
-    def s_hi(self):
-        return float(self.s_of_xi(self.xi_hi))
-
-    @property
-    def t_lo(self):
-        return self.xi_lo
-
-    @property
-    def t_hi(self):
-        return self.xi_hi
-
-    def with_domain(self, s_lo, s_hi):
-        return self.with_xi_domain(self.xi_of_s(float(s_lo)),
-                                   self.xi_of_s(float(s_hi)))
-
-    def with_xi_domain(self, xi_lo, xi_hi):
-        import copy
-        b = copy.copy(self)
-        b.xi_lo, b.xi_hi = float(xi_lo), float(xi_hi)
-        return b
+        self.gen_plus, self.gen_minus = id_point, id_seg  # focus is left of +t
 
     # -- arc length <-> directrix coordinate -------------------------------
     def _s_of_z(self, z):
@@ -317,20 +266,10 @@ class ParabolaBisector(Bisector):
         return self._s_of_z(np.asarray(xi, dtype=float) / self.h)
 
     def xi_of_s(self, s):
-        """Inverse of s_of_xi by Newton's method on z = xi / h."""
+        """Inverse of s_of_xi by Newton's method on z = xi / h, elementwise
+        over an array of any shape."""
         h = self.h
-        if np.ndim(s) == 0:
-            sv = float(s)
-            z = sv / h if abs(sv) < h else \
-                math.copysign(math.sqrt(2.0 * abs(sv) / h), sv)
-            for _ in range(40):
-                f = 0.5 * h * (z * math.sqrt(1.0 + z * z) + math.asinh(z)) - sv
-                step = f / (h * math.sqrt(1.0 + z * z))
-                z -= step
-                if abs(step) < 1e-15 * (1.0 + abs(z)):
-                    break
-            return z * h
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        s_arr = np.asarray(s, dtype=float)
         # initial guess: linear for small |s|, sqrt growth for large
         z = np.where(np.abs(s_arr) < h,
                      s_arr / h,
@@ -346,12 +285,13 @@ class ParabolaBisector(Bisector):
         return z * h
 
     s_of_t = s_of_xi
+    t_of_s = xi_of_s
 
     # -- geometry in xi ----------------------------------------------------
     def _eta(self, xi):
         return (xi * xi + self.h * self.h) / (2.0 * self.h)
 
-    def point_t(self, xi):
+    def point(self, xi):
         if isinstance(xi, float):
             eta = (xi * xi + self.h * self.h) / (2.0 * self.h)
             F, e1, nv = self.F, self.e1, self.n
@@ -362,38 +302,24 @@ class ParabolaBisector(Bisector):
                 + np.multiply.outer(xi, self.e1)
                 + np.multiply.outer(self._eta(xi), self.n))
 
-    def radius_t(self, xi):
-        return self._eta(np.asarray(xi, dtype=float))
-
-    def dradius_t(self, xi):
+    def tangent(self, xi):
         z = np.asarray(xi, dtype=float) / self.h
-        return z / np.sqrt(1.0 + z * z)
-
-    def argmin_radius_t(self):
-        return min(max(0.0, self.xi_lo), self.xi_hi)
-
-    # -- geometry in s -----------------------------------------------------
-    def point(self, s):
-        return self.point_t(self.xi_of_s(s))
-
-    def tangent(self, s):
-        z = np.asarray(self.xi_of_s(s), dtype=float) / self.h
         w = np.sqrt(1.0 + z * z)
         return (np.multiply.outer(1.0 / w, self.e1)
                 + np.multiply.outer(z / w, self.n))
 
-    def radius(self, s):
-        return self.radius_t(self.xi_of_s(s))
+    def radius(self, xi):
+        return self._eta(np.asarray(xi, dtype=float))
 
-    def dradius(self, s):
-        return self.dradius_t(self.xi_of_s(s))
+    def dradius(self, xi):
+        z = np.asarray(xi, dtype=float) / self.h
+        return z / np.sqrt(1.0 + z * z)
 
-    def curvature(self, s):
-        z = np.asarray(self.xi_of_s(s), dtype=float) / self.h
+    def curvature(self, xi):
+        z = np.asarray(xi, dtype=float) / self.h
         return 1.0 / (self.h * np.power(1.0 + z * z, 1.5))
 
-    def contacts(self, s):
-        xi = self.xi_of_s(s)
+    def contacts(self, xi):
         if isinstance(xi, float):
             foot = self.F + xi * self.e1
             return tuple(self.focus), (float(foot[0]), float(foot[1]))
@@ -401,10 +327,7 @@ class ParabolaBisector(Bisector):
                                           self.e1)
         return tuple(self.focus), foot
 
-    def argmin_radius(self):
-        return min(max(0.0, self.s_lo), self.s_hi)
-
-    def rect_intervals_xi(self, rect: Rect):
+    def rect_intervals(self, rect: Rect):
         """xi-intervals of the parabola inside rect."""
         lo, hi = -_UNBOUNDED, _UNBOUNDED
         crossings = []
@@ -505,7 +428,7 @@ def _segment_pair_branches(u: BoundaryElement, v: BoundaryElement):
         minus_seg = (a2, d2) if gp == u.id else (a1, d1)
         bis._contact_fns = (_seg_contact_fn(*plus_seg)(bis.point),
                             _seg_contact_fn(*minus_seg)(bis.point))
-        bis.s_lo, bis.s_hi = lo, hi
+        bis.t_lo, bis.t_hi = lo, hi
         out.append(bis)
         return out
 
@@ -550,7 +473,7 @@ def _segment_pair_branches(u: BoundaryElement, v: BoundaryElement):
         bis._contact_fns = (_seg_contact_fn(*plus_seg)(bis.point),
                             _seg_contact_fn(*minus_seg)(bis.point))
         bis.branch = branch
-        bis.s_lo, bis.s_hi = dom_lo, dom_hi
+        bis.t_lo, bis.t_hi = dom_lo, dom_hi
         out.append(bis)
     return out
 
@@ -578,7 +501,7 @@ def bisector_point_segment(p: BoundaryElement, seg: BoundaryElement):
             raise InvalidInputError("point lies on the segment interior (contour self-contact)")
         raise InvalidInputError("point collinear with the supporting line")
     bis = ParabolaBisector((px, py), a, d, L, p.id, seg.id)
-    bis.xi_lo, bis.xi_hi = -bis.tF, L - bis.tF
+    bis.t_lo, bis.t_hi = -bis.tF, L - bis.tF
     return bis
 
 
@@ -592,13 +515,13 @@ def bisector_endpoint_own_segment(p: BoundaryElement, seg: BoundaryElement):
         raise InvalidInputError("point is not an endpoint of the segment")
     origin = np.array([px, py])
     direction = _lex_positive(perp(d).copy())
-    # side of the segment body relative to the +s tangent
+    # side of the segment body relative to the +t tangent
     mid = a + 0.5 * L * d
     side = cross(direction, mid - origin)
     gp, gm = (seg.id, p.id) if side > 0 else (p.id, seg.id)
     pt = (float(px), float(py))
     return PerpendicularBisector(origin, direction, 1.0,
-                                 (lambda s: pt, lambda s: pt), gp, gm)
+                                 (lambda t: pt, lambda t: pt), gp, gm)
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +560,8 @@ def make_bisectors(e1: BoundaryElement, e2: BoundaryElement, clip: Rect | None =
 
     clipped: list[Bisector] = []
     for bis in records:
-        if isinstance(bis, ParabolaBisector):
-            for (lo, hi) in bis.rect_intervals_xi(clip):
-                a = max(lo, bis.xi_lo)
-                b = min(hi, bis.xi_hi)
-                if b - a > EPS_GEOM:
-                    clipped.append(bis.with_xi_domain(a, b))
-        else:
-            iv = bis.clip_to_rect(clip)
-            if iv is None:
-                continue
-            a, b = max(iv[0], bis.s_lo), min(iv[1], bis.s_hi)
+        for (lo, hi) in bis.rect_intervals(clip):
+            a, b = max(lo, bis.t_lo), min(hi, bis.t_hi)
             if b - a > EPS_GEOM:
                 clipped.append(bis.with_domain(a, b))
     return clipped

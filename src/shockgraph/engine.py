@@ -12,9 +12,9 @@ deficit dist(p, e)^2 - r^2 to a third element e is a quadratic in the
 bisector's natural parameter t (arc length for the straight kinds, the
 directrix coordinate xi for parabolas), so each element's first simultaneous
 arrival is a quadratic root (see _crossing_params).  The engine works in t
-throughout and converts to arc length only when it records a raw link.  A
-validity sweep of exact distances at interior samples of every traced link
-catches a missed crossing and truncates the link there by bisection.
+throughout, and raw links record t.  A validity sweep of exact distances at
+interior samples of every traced link catches a missed crossing and
+truncates the link there by bisection.
 """
 from __future__ import annotations
 
@@ -411,21 +411,20 @@ class RawNode:
 
 @dataclass
 class RawLink:
+    """One traversed bisector portion, in the bisector's parameter t."""
     id: int
     bisector: Bisector
-    s_from: float    # traversal start, arc-length parameter (early time)
-    s_to: float      # traversal end, arc-length parameter (late time)
+    t_from: float    # traversal start (early time)
+    t_to: float      # traversal end (late time)
     node_from: int
     node_to: int
     end_kind: str    # "junction" | "boxexit" | "domain"
 
     @property
-    def direction(self):
-        return 1.0 if self.s_to >= self.s_from else -1.0
-
-    @property
     def length(self):
-        return abs(self.s_to - self.s_from)
+        """Arc length of the traversed portion."""
+        s_of_t = self.bisector.s_of_t
+        return abs(float(s_of_t(self.t_to)) - float(s_of_t(self.t_from)))
 
 
 @dataclass
@@ -587,7 +586,7 @@ class Engine:
                 if s_n is None:
                     continue
                 s_n = min(max(s_n, rec.t_lo), rec.t_hi)
-                p = rec.point_t(s_n)
+                p = rec.point(s_n)
                 if math.hypot(p[0] - node.location[0], p[1] - node.location[1]) \
                         > 1e-6 * scale:
                     continue
@@ -595,9 +594,9 @@ class Engine:
                     probe = s_n + direction * 1e-7 * scale
                     if not (rec.t_lo - 1e-12 <= probe <= rec.t_hi + 1e-12):
                         continue
-                    if rec.radius_t(probe) < node.radius - 1e-9 * scale:
+                    if rec.radius(probe) < node.radius - 1e-9 * scale:
                         continue  # time must not decrease along an outflow
-                    if float(rec.dradius_t(probe)) * direction < -1e-12:
+                    if float(rec.dradius(probe)) * direction < -1e-12:
                         # near-flat channels: the finite-radius check above
                         # cannot see a shallow downhill slope at probe
                         # distance, but the analytic slope can; downhill
@@ -730,7 +729,7 @@ class Engine:
         rec = shock.bisector
         s0 = shock.start_param
         direction = shock.direction
-        r0 = float(rec.radius_t(s0))
+        r0 = float(rec.radius(s0))
         scale = 1.0 + r0
         gens = rec.pair
         s_dom = rec.t_hi if direction > 0 else rec.t_lo
@@ -740,8 +739,8 @@ class Engine:
         if (s_dom - s_probe) * direction <= 0:
             return None
         # a wave already ahead of the front at the probe kills this direction
-        qp = rec.point_t(s_probe)
-        rp = float(rec.radius_t(s_probe))
+        qp = rec.point(s_probe)
+        rp = float(rec.radius(s_probe))
         if self.eset.any_closer(qp, rp - 1e-9 * scale, gens):
             return None
 
@@ -753,7 +752,7 @@ class Engine:
             s_lim, cap_kind = claim_edge, "claim"
 
         span_full = abs(s_lim - s0)
-        q0 = rec.point_t(s0)
+        q0 = rec.point(s0)
         touch = self.eset.closed_near(q0, r0 + 2e-6 * scale, gens)
         # Crossings with the parent junction's own generators right at the
         # start are numerical scatter of that junction's root (the deficit
@@ -790,8 +789,8 @@ class Engine:
         # overtake with no resolvable crossing kills the direction.
         if touch:
             s_far = s0 + direction * min(1e-3 * scale, 0.45 * span_full)
-            q_far = rec.point_t(s_far)
-            r_far = float(rec.radius_t(s_far))
+            q_far = rec.point(s_far)
+            r_far = float(rec.radius(s_far))
             hit = None
             for eid in touch:
                 if self.eset.open_dist_one(int(eid), q_far) - r_far \
@@ -815,13 +814,13 @@ class Engine:
         crossing = []
         if end_kind == "junction":
             crossing = self.eset.near_elements(
-                rec.point_t(s_end), float(rec.radius_t(s_end)) + 1e-6 * scale, gens)
+                rec.point(s_end), float(rec.radius(s_end)) + 1e-6 * scale, gens)
         elif end_kind == "domain":
             # feet ran out: the generator endpoint's wave takes over there
             crossing = self.eset.near_elements(
-                rec.point_t(s_end), float(rec.radius_t(s_end)) + 1e-6 * scale, gens)
+                rec.point(s_end), float(rec.radius(s_end)) + 1e-6 * scale, gens)
             end_kind = "junction" if crossing else \
-                ("boxexit" if self.box.inset_distance(rec.point_t(s_end)) < 1e-6
+                ("boxexit" if self.box.inset_distance(rec.point(s_end)) < 1e-6
                  else "domain")
         elif end_kind == "claim":
             end_kind = "junction"
@@ -829,8 +828,8 @@ class Engine:
         # validity sweep: exact deficit at interior samples; a violation means
         # a crossing was missed, so truncate there by bisection
         ts = s0 + _SWEEP_FRAC * (s_end - s0)
-        pts = rec.point_t(ts)
-        rs = np.asarray(rec.radius_t(ts), dtype=float)
+        pts = rec.point(ts)
+        rs = np.asarray(rec.radius(ts), dtype=float)
         md = self.eset.min_third_along(pts, rs, gens) - rs
         if md.min() < -1e-9 * scale:
             self.stats["sweep_truncations"] = \
@@ -840,7 +839,7 @@ class Engine:
             hi = float(ts[bad])
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                dv = self.eset.min_third(rec.point_t(mid), gens) - float(rec.radius_t(mid))
+                dv = self.eset.min_third(rec.point(mid), gens) - float(rec.radius(mid))
                 if dv >= 0.0:
                     lo = mid
                 else:
@@ -849,16 +848,15 @@ class Engine:
             if abs(s_end - s0) <= 1e-6 * scale:
                 return None
             crossing = self.eset.near_elements(
-                rec.point_t(s_end), float(rec.radius_t(s_end)) + 1e-6 * scale, gens)
+                rec.point(s_end), float(rec.radius(s_end)) + 1e-6 * scale, gens)
 
-        end_loc = rec.point_t(s_end)
-        end_r = float(rec.radius_t(s_end))
+        end_loc = rec.point(s_end)
+        end_r = float(rec.radius(s_end))
         node_to = self._node_at(end_loc, end_r, set(gens) | set(crossing))
         self._claim(rec.branch_key, s0, s_end)
         lid = len(self.links)
-        self.links.append(RawLink(lid, rec, float(rec.s_of_t(s0)),
-                                  float(rec.s_of_t(s_end)), shock.parent_node,
-                                  node_to, end_kind))
+        self.links.append(RawLink(lid, rec, float(s0), float(s_end),
+                                  shock.parent_node, node_to, end_kind))
         if end_kind == "junction":
             self._discover_outflows(node_to)
         return end_kind
@@ -937,14 +935,14 @@ class Engine:
         for idx, rec in enumerate(recs):
             if rec not in chosen:
                 continue
-            s_star = rec.argmin_radius_t()
-            t_star = float(rec.radius_t(s_star))
+            s_star = rec.argmin_radius()
+            t_star = float(rec.radius(s_star))
             if t_star > time + 1e-9:
                 heapq.heappush(side, (t_star, next(self._seq), (lo, hi, idx)))
                 continue
             if self._claimed_at(rec.branch_key, s_star):
                 continue
-            loc = rec.point_t(s_star)
+            loc = rec.point(s_star)
             if self.eset.any_closer(loc, t_star - 1e-9, rec.pair):
                 continue  # clip moved the minimum onto blocked ground
             node_id = self._node_at(loc, t_star, set(rec.pair))

@@ -46,21 +46,29 @@ CURVATURE_SAMPLES = 16
 
 @dataclass
 class Piece:
-    """One bisector portion traversed from s0 to s1 (flow = increasing time)."""
+    """One bisector portion traversed from parameter t0 to t1 (flow =
+    increasing time), in the bisector's parameter t. s0 is the arc length
+    at t0 and length the portion's arc length; both are fixed at
+    construction."""
     bisector: Bisector
-    s0: float
-    s1: float
+    t0: float
+    t1: float
+    s0: float = field(init=False)
+    length: float = field(init=False)
+
+    def __post_init__(self):
+        s_of_t = self.bisector.s_of_t
+        self.s0 = float(s_of_t(self.t0))
+        self.length = abs(float(s_of_t(self.t1)) - self.s0)
 
     @property
     def direction(self) -> float:
-        return 1.0 if self.s1 >= self.s0 else -1.0
-
-    @property
-    def length(self) -> float:
-        return abs(self.s1 - self.s0)
+        return 1.0 if self.t1 >= self.t0 else -1.0
 
     def params(self, n: int) -> np.ndarray:
-        return np.linspace(self.s0, self.s1, n)
+        """n parameters uniformly spaced in arc length over the piece."""
+        return self.bisector.t_of_s(
+            self.s0 + self.direction * np.linspace(0.0, self.length, n))
 
     def side_generators(self) -> tuple[int, int]:
         """(plus, minus) generator ids relative to the flow direction."""
@@ -69,14 +77,14 @@ class Piece:
             return b.gen_plus, b.gen_minus
         return b.gen_minus, b.gen_plus
 
-    def contacts_at(self, s: float) -> tuple[tuple, tuple]:
+    def contacts_at(self, t: float) -> tuple[tuple, tuple]:
         """(bp_plus, bp_minus) relative to the flow direction."""
-        cp, cm = self.bisector.contacts(float(s))
+        cp, cm = self.bisector.contacts(float(t))
         return (cp, cm) if self.direction > 0 else (cm, cp)
 
-    def contacts_array(self, ss: np.ndarray):
+    def contacts_array(self, ts: np.ndarray):
         """contacts_at over a parameter vector: two (n, 2) arrays."""
-        cp, cm = self.bisector.contacts_array(ss)
+        cp, cm = self.bisector.contacts_array(ts)
         return (cp, cm) if self.direction > 0 else (cm, cp)
 
 
@@ -111,9 +119,12 @@ class ShockLink:
 
     @cached_property
     def curvature_samples(self) -> np.ndarray:
+        """Signed curvature at CURVATURE_SAMPLES uniform arc-length samples,
+        oriented along the flow direction."""
         if self.length <= 0.0:
             return np.zeros(CURVATURE_SAMPLES)
-        return _link_curvature(self)
+        return self._sampled(CURVATURE_SAMPLES, lambda p, ts:
+                             p.direction * p.bisector.curvature(ts))
 
     @cached_property
     def curvature(self) -> float:
@@ -147,94 +158,81 @@ class ShockLink:
         return np.concatenate(
             [[0.0], np.cumsum([p.length for p in self.pieces])])
 
-    def piece_param(self, u: float):
-        """(piece, s) at arc length u from the link start."""
-        cum = self._cum_lengths
-        i = min(int(np.searchsorted(cum, u, side="right")) - 1,
-                len(self.pieces) - 1)
-        i = max(i, 0)
-        p = self.pieces[i]
-        return p, p.s0 + p.direction * (u - cum[i])
-
     def piece_params(self, us: np.ndarray):
-        """(piece index array, s array) at arc lengths us from the start."""
+        """(piece index array, t array) at arc lengths us from the start."""
         cum = self._cum_lengths
         idx = np.clip(np.searchsorted(cum, us, side="right") - 1,
                       0, len(self.pieces) - 1)
-        ss = np.empty(len(us))
+        ts = np.empty(len(us))
         for i in np.unique(idx):
             p = self.pieces[i]
             m = idx == i
-            ss[m] = p.s0 + p.direction * (us[m] - cum[i])
-        return idx, ss
+            ts[m] = p.bisector.t_of_s(p.s0 + p.direction * (us[m] - cum[i]))
+        return idx, ts
+
+    def _sampled(self, n: int, fn, shape=()) -> np.ndarray:
+        """fn(piece, t array) at n points uniformly spaced in arc length
+        over the link, as an (n, *shape) array."""
+        idx, ts = self.piece_params(np.linspace(0.0, self.length, n))
+        out = np.empty((n,) + shape)
+        for i in np.unique(idx):
+            m = idx == i
+            out[m] = fn(self.pieces[i], ts[m])
+        return out
 
     def sample_points(self, n: int) -> np.ndarray:
         """(n, 2) points uniformly spaced in arc length over the link."""
-        idx, ss = self.piece_params(np.linspace(0.0, self.length, n))
-        out = np.empty((n, 2))
-        for i in np.unique(idx):
-            m = idx == i
-            out[m] = np.atleast_2d(self.pieces[i].bisector.point(ss[m]))
-        return out
+        return self._sampled(n, lambda p, ts: p.bisector.point(ts), (2,))
 
     def sample_radii(self, n: int) -> np.ndarray:
-        idx, ss = self.piece_params(np.linspace(0.0, self.length, n))
-        out = np.empty(n)
-        for i in np.unique(idx):
-            m = idx == i
-            out[m] = np.asarray(self.pieces[i].bisector.radius(ss[m]))
-        return out
+        return self._sampled(n, lambda p, ts: p.bisector.radius(ts))
 
     def sample_contacts(self, n: int):
         """(bp_plus, bp_minus) arrays of shape (n, 2), flow-oriented sides."""
-        bp = np.empty((n, 2))
-        bm = np.empty((n, 2))
-        for j, u in enumerate(np.linspace(0.0, self.length, n)):
-            p, s = self.piece_param(u)
-            cp, cm = p.contacts_at(s)
-            bp[j], bm[j] = cp, cm
-        return bp, bm
+        out = self._sampled(
+            n, lambda p, ts: np.stack(p.contacts_array(ts), axis=1), (2, 2))
+        return out[:, 0], out[:, 1]
 
     @property
     def radius_from(self) -> float:
         p = self.pieces[0]
-        return float(p.bisector.radius(p.s0))
+        return float(p.bisector.radius(p.t0))
 
     @property
     def radius_to(self) -> float:
         p = self.pieces[-1]
-        return float(p.bisector.radius(p.s1))
+        return float(p.bisector.radius(p.t1))
 
     def tangent_at_from(self) -> np.ndarray:
         p = self.pieces[0]
-        return p.direction * np.asarray(p.bisector.tangent(p.s0), dtype=float)
+        return p.direction * np.asarray(p.bisector.tangent(p.t0), dtype=float)
 
     def tangent_at_to(self) -> np.ndarray:
         p = self.pieces[-1]
-        return p.direction * np.asarray(p.bisector.tangent(p.s1), dtype=float)
+        return p.direction * np.asarray(p.bisector.tangent(p.t1), dtype=float)
 
     def dradius_at(self, node_end: str) -> float:
         """dr per unit arc length along the flow direction at an end.
 
-        Evaluated a hair inside the link: r(s) has a corner (|s|) at branch
-        apexes, where the one-sided derivative into the link is the right
-        limit, not the two-sided 0."""
+        Evaluated a hair inside the link, an offset in t: r has a corner
+        (|t|) at branch apexes, where the one-sided derivative into the link
+        is the right limit, not the two-sided 0."""
         if node_end == "from":
             p = self.pieces[0]
             eps = 1e-9 + 1e-7 * p.length
             return p.direction * float(p.bisector.dradius(
-                p.s0 + p.direction * eps))
+                p.t0 + p.direction * eps))
         p = self.pieces[-1]
         eps = 1e-9 + 1e-7 * p.length
         return p.direction * float(p.bisector.dradius(
-            p.s1 - p.direction * eps))
+            p.t1 - p.direction * eps))
 
     def contacts_at_end(self, node_end: str):
         if node_end == "from":
             p = self.pieces[0]
-            return p.contacts_at(p.s0)
+            return p.contacts_at(p.t0)
         p = self.pieces[-1]
-        return p.contacts_at(p.s1)
+        return p.contacts_at(p.t1)
 
 
 @dataclass
@@ -342,17 +340,13 @@ def classify_link(link: ShockLink, is_point: dict) -> str:
 # Link attribute computation
 # ---------------------------------------------------------------------------
 
-def _shoelace(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
 def _piece_side_area(piece: Piece, side: int) -> float:
     """Area between the shock curve and one contact locus, closed by the end
     rays.
 
     Exact in closed form for every bisector kind: straight bisectors with
-    straight (or constant) contact loci bound a quadrilateral, and for a
+    straight (or constant) contact loci bound a quadrilateral p0 p1 c1 c0,
+    whose area is half the cross product of its diagonals, and for a
     parabola the directrix-side area is the integral of the directrix
     distance eta over xi while the focus-side sector is half of it (the
     cross product (p - focus) x dp/dxi reduces to eta)."""
@@ -360,17 +354,16 @@ def _piece_side_area(piece: Piece, side: int) -> float:
         return 0.0
     bis = piece.bisector
     if bis.kind == KIND_PARABOLA:
-        xi0 = float(bis.xi_of_s(piece.s0))
-        xi1 = float(bis.xi_of_s(piece.s1))
+        xi0, xi1 = piece.t0, piece.t1
         h = bis.h
         integral = abs((xi1 ** 3 - xi0 ** 3) / (6.0 * h)
                        + 0.5 * h * (xi1 - xi0))
         focus_on_plus = piece.direction > 0  # gen_plus is the focus
         return 0.5 * integral if (side == 0) == focus_on_plus else integral
-    ss = np.array([piece.s0, piece.s1])
-    pts = bis.point(ss)
-    bps = piece.contacts_array(ss)[side]
-    return _shoelace(np.vstack([pts, bps[::-1]]))
+    ts = np.array([piece.t0, piece.t1])
+    (p0x, p0y), (p1x, p1y) = bis.point(ts)
+    (c0x, c0y), (c1x, c1y) = piece.contacts_array(ts)[side]
+    return 0.5 * abs((c1x - p0x) * (c0y - p1y) - (c1y - p0y) * (c0x - p1x))
 
 
 def link_area(link: ShockLink) -> float:
@@ -378,19 +371,6 @@ def link_area(link: ShockLink) -> float:
     end rays (the region swept by the wavefront while tracing the link)."""
     return sum(_piece_side_area(p, side)
                for p in link.pieces for side in (0, 1))
-
-
-def _link_curvature(link: ShockLink) -> np.ndarray:
-    """Signed curvature at CURVATURE_SAMPLES uniform arc-length samples,
-    oriented along the flow direction."""
-    idx, ss = link.piece_params(np.linspace(0.0, link.length,
-                                            CURVATURE_SAMPLES))
-    out = np.empty(CURVATURE_SAMPLES)
-    for i in np.unique(idx):
-        p = link.pieces[i]
-        m = idx == i
-        out[m] = p.direction * np.asarray(p.bisector.curvature(ss[m]))
-    return out
 
 
 def _boundary_refs(link: ShockLink) -> tuple[BoundaryRef, BoundaryRef]:
@@ -405,8 +385,8 @@ def _boundary_refs(link: ShockLink) -> tuple[BoundaryRef, BoundaryRef]:
             gid = p.side_generators()[side]
             if gid not in gens:
                 gens.append(gid)
-            c0 = p.contacts_at(p.s0)[side]
-            c1 = p.contacts_at(p.s1)[side]
+            c0 = p.contacts_at(p.t0)[side]
+            c1 = p.contacts_at(p.t1)[side]
             arclen += math.hypot(c1[0] - c0[0], c1[1] - c0[1])
         refs.append(BoundaryRef(tuple(gens), arclen, 0.0))
     return refs[0], refs[1]
@@ -605,7 +585,7 @@ def build_graph(raw, elements: list[BoundaryElement],
         frm, to = node_map[rl.node_from], node_map[rl.node_to]
         if frm != to or rl.length > loop_tol:
             links.append((rl.id, frm, to,
-                          [Piece(rl.bisector, rl.s_from, rl.s_to)]))
+                          [Piece(rl.bisector, rl.t_from, rl.t_to)]))
 
     graph = assemble(links, raw.nodes, elements, dict(raw.stats), scene=scene)
     graph.stats["isolated_dropped"] = len(raw.nodes) - len(graph.nodes)

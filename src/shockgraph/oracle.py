@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .contours import POINT, BoundaryElement
 from .errors import ResolutionError
@@ -160,19 +159,19 @@ def graph_shock_points(graph, step: float,
                 if b in adj[a]:
                     if elements[a].kind == POINT or elements[b].kind == POINT:
                         continue
-                    cp, cm = p.contacts_at(0.5 * (p.s0 + p.s1))
+                    cp, cm = p.contacts_at(0.5 * (p.t0 + p.t1))
                     if np.hypot(cp[0] - cm[0], cp[1] - cm[1]) <= 1e-9:
                         continue
             n = max(2, int(np.ceil(p.length / step)) + 1)
-            ss = p.params(n)
-            pts = np.asarray(p.bisector.point(ss), dtype=float)
+            ts = p.params(n)
+            pts = np.asarray(p.bisector.point(ts), dtype=float)
             if elements is not None:
                 # the grid detector resolves a shock only where its two
                 # contact points are farther apart than a cell (the foot
                 # separation it thresholds); drop samples below that, e.g.
                 # along the bisector of a sub-cell-width wedge or the corner
                 # bisector of two nearly collinear segments
-                cp, cm = p.contacts_array(ss)
+                cp, cm = p.contacts_array(ts)
                 sep = np.hypot(cp[..., 0] - cm[..., 0],
                                cp[..., 1] - cm[..., 1])
                 pts = pts[sep > 2.0 * step]
@@ -181,13 +180,3 @@ def graph_shock_points(graph, step: float,
     if not chunks:
         return np.empty((0, 2))
     return np.vstack(chunks)
-
-
-def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point sets."""
-    if len(a) == 0 or len(b) == 0:
-        return np.inf if len(a) != len(b) else 0.0
-    da = cKDTree(b).query(a, workers=-1)[0]
-    db = cKDTree(a).query(b, workers=-1)[0]
-    return float(max(da.max(), db.max()))
-

@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from shockgraph import engine
 from shockgraph.contours import check_no_crossings, decompose
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box, prune
 from shockgraph.scenes import rectangle_fragment
+
+# Property tests draw the same examples on every run, and a slow example on
+# a loaded host is not a failure.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def build_scene(fragments, width, height, lam=None):

@@ -110,8 +110,8 @@ def test_bisector_equidistance_segment_segment():
         if not recs:
             continue
         bis = recs[0]
-        lo = max(bis.s_lo, -200.0)
-        hi = min(bis.s_hi, 200.0)
+        lo = max(bis.t_lo, -200.0)
+        hi = min(bis.t_hi, 200.0)
         if hi - lo <= 1e-9:
             continue
         ss = lo + (hi - lo) * np.array(
@@ -137,7 +137,7 @@ def test_bisector_equidistance_point_segment():
             bis = bisector_point_segment(pe, _seg_elem(1, a, b))
         except Exception:
             continue
-        lo, hi = bis.s_lo, bis.s_hi
+        lo, hi = bis.t_lo, bis.t_hi
         if hi - lo <= 1e-9:
             continue
         ss = lo + (hi - lo) * np.array(
@@ -179,7 +179,7 @@ def test_parabola_focus_directrix_property():
             bis = bisector_point_segment(pe, _seg_elem(1, a, b))
         except Exception:
             continue
-        ss = bis.s_lo + (bis.s_hi - bis.s_lo) * np.array(
+        ss = bis.t_lo + (bis.t_hi - bis.t_lo) * np.array(
             [rng.uniform() for _ in range(N_SAMPLES)])
         pts = bis.point(ss)
         d_focus = np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1])
@@ -303,8 +303,8 @@ def test_validity_invariant():
 def _pruned_link_keys(graph):
     def key(ln):
         p0 = ln.pieces[0]
-        return (round(p0.bisector.point(p0.s0)[0], 6),
-                round(p0.bisector.point(p0.s0)[1], 6),
+        return (round(p0.bisector.point(p0.t0)[0], 6),
+                round(p0.bisector.point(p0.t0)[1], 6),
                 round(ln.length, 6))
     return sorted(key(ln) for ln in graph.links)
 

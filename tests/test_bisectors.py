@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from shockgraph.bisectors import (KIND_LINE, KIND_MIDLINE, KIND_PARABOLA,
-                                  KIND_PERPENDICULAR,
+                                  KIND_PERPENDICULAR, LinearRadiusLine,
                                   bisector_endpoint_own_segment,
                                   bisector_point_point, bisector_point_segment,
                                   make_bisectors)
 from shockgraph.contours import POINT, SEGMENT, BoundaryElement
 from shockgraph.errors import DegenerateInputError, InvalidInputError
-from shockgraph.geometry import Rect
+from shockgraph.geometry import Rect, cross
 
 
 def seg(eid, a, b, adjacency=()):
@@ -61,7 +63,7 @@ class TestParabola:
 
     def test_vector_scalar_agree(self):
         bis = bisector_point_segment(pt(0, (1, 3)), seg(1, (-5, 0), (6, 1)))
-        ss = np.linspace(bis.s_lo, bis.s_hi, 17)
+        ss = np.linspace(bis.t_lo, bis.t_hi, 17)
         vec = bis.point(ss)
         for s, q in zip(ss, vec):
             assert np.allclose(bis.point(float(s)), q, atol=1e-12)
@@ -74,7 +76,7 @@ class TestParabola:
 
     def test_contacts(self):
         bis = bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))
-        focus, foot = bis.contacts(bis.s_of_xi(1.0))
+        focus, foot = bis.contacts(1.0)
         assert np.allclose(focus, (0, 2))
         assert np.allclose(foot, (1, 0))
 
@@ -101,7 +103,7 @@ class TestSegmentSegment:
         kinds = {b.kind for b in recs}
         assert KIND_MIDLINE in kinds
         mid = next(b for b in recs if b.kind == KIND_MIDLINE)
-        assert np.isclose(mid.radius(0.5 * (mid.s_lo + mid.s_hi)), 1.0)
+        assert np.isclose(mid.radius(0.5 * (mid.t_lo + mid.t_hi)), 1.0)
 
     def test_angled_gives_line(self):
         recs = make_bisectors(seg(0, (0, 0), (4, 0)), seg(1, (0, 3), (4, 4)))
@@ -120,7 +122,7 @@ class TestClipping:
                               clip=Rect(0, 0, 8, 8))
         assert len(recs) == 1
         bis = recs[0]
-        for s in (bis.s_lo + 1e-9, bis.s_hi - 1e-9):
+        for s in (bis.t_lo + 1e-9, bis.t_hi - 1e-9):
             x, y = bis.point(s)
             assert -1e-6 <= x <= 8 + 1e-6 and -1e-6 <= y <= 8 + 1e-6
 
@@ -129,8 +131,8 @@ class TestClipping:
                               clip=Rect(-100, -100, 100, 100))
         assert len(recs) == 1
         bis = recs[0]
-        assert bis.xi_of_s(bis.s_lo) >= -5 - 1e-9
-        assert bis.xi_of_s(bis.s_hi) <= 5 + 1e-9
+        assert bis.t_lo >= -5 - 1e-9
+        assert bis.t_hi <= 5 + 1e-9
 
     def test_disjoint_clip_empty(self):
         recs = make_bisectors(pt(0, (2, 2)), pt(1, (6, 2)),
@@ -147,11 +149,89 @@ class TestContactsArray:
             bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0))),
         ]
         for bis in cases:
-            lo = max(bis.s_lo, -5.0)
-            hi = min(bis.s_hi, 5.0)
+            lo = max(bis.t_lo, -5.0)
+            hi = min(bis.t_hi, 5.0)
             ss = np.linspace(lo + 1e-6, hi - 1e-6, 9)
             cp, cm = bis.contacts_array(ss)
             for k, s in enumerate(ss):
                 scp, scm = bis.contacts(float(s))
                 assert np.allclose(cp[k], scp, atol=1e-9)
                 assert np.allclose(cm[k], scm, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Properties in the parameter t over drawn generator pairs
+# ---------------------------------------------------------------------------
+
+coords = st.tuples(st.floats(-20, 20), st.floats(-20, 20))
+
+
+def _closed_dist(e, q):
+    q = np.asarray(q, dtype=float)
+    if e.kind == POINT:
+        return math.hypot(q[0] - e.geometry[0], q[1] - e.geometry[1])
+    a, b = (np.asarray(v, dtype=float) for v in e.geometry)
+    d = b - a
+    u = min(1.0, max(0.0, np.dot(q - a, d) / np.dot(d, d)))
+    return float(np.hypot(*(q - a - u * d)))
+
+
+def _well_conditioned(e1, e2):
+    """Segments at least 1 long, a point at least 0.5 from a segment's
+    supporting line, and segment pairs parallel or at least 0.1 apart in
+    sine: the regime where the closed forms hold to 1e-9."""
+    dirs = []
+    for e in (e1, e2):
+        if e.kind == SEGMENT:
+            a, b = (np.asarray(v, dtype=float) for v in e.geometry)
+            L = math.hypot(*(b - a))
+            if L < 1.0:
+                return False
+            dirs.append((a, (b - a) / L))
+    if len(dirs) == 2:
+        sin = abs(cross(dirs[0][1], dirs[1][1]))
+        return sin == 0.0 or sin >= 0.1
+    if len(dirs) == 1 and e1.kind == POINT:
+        a, d = dirs[0]
+        return abs(cross(d, np.asarray(e1.geometry) - a)) >= 0.5
+    return e1.kind == POINT and _closed_dist(e1, e2.geometry) >= 0.5
+
+
+@st.composite
+def generator_pairs(draw, kinds):
+    def element(eid, kind):
+        if kind == POINT:
+            return pt(eid, draw(coords))
+        return seg(eid, draw(coords), draw(coords))
+    return element(0, kinds[0]), element(1, kinds[1])
+
+
+@pytest.mark.parametrize("kinds", [(POINT, POINT), (POINT, SEGMENT),
+                                   (SEGMENT, SEGMENT)],
+                         ids=["point-point", "point-segment",
+                              "segment-segment"])
+@given(data=st.data())
+def test_parameter_properties(kinds, data):
+    e1, e2 = data.draw(generator_pairs(kinds))
+    assume(_well_conditioned(e1, e2))
+    recs = make_bisectors(e1, e2)
+    assume(recs)
+    bis = data.draw(st.sampled_from(recs))
+    # a window of the domain at most 200 long (the line kinds are unbounded)
+    lo = max(bis.t_lo, min(bis.t_hi, 0.0) - 100.0)
+    hi = min(bis.t_hi, lo + 200.0)
+    t = lo + (hi - lo) * data.draw(st.floats(0.0, 1.0))
+    s = float(bis.s_of_t(t))
+    assert math.isclose(float(bis.t_of_s(s)), t, abs_tol=1e-9 * (1 + abs(t)))
+    r = float(bis.radius(t))
+    q = bis.point(t)
+    for e in (e1, e2):
+        assert math.isclose(_closed_dist(e, q), r, rel_tol=1e-9, abs_tol=1e-9)
+    # dr/ds by a central difference in arc length; r is |t|-shaped at the
+    # apex of a linear-radius line, so stay off the corner there
+    h = 1e-5 * (1.0 + abs(s))
+    if isinstance(bis, LinearRadiusLine):
+        assume(abs(t) > 2 * h)
+    fd = (float(bis.radius(bis.t_of_s(s + h)))
+          - float(bis.radius(bis.t_of_s(s - h)))) / (2 * h)
+    assert math.isclose(float(bis.dradius(t)), fd, abs_tol=1e-6)

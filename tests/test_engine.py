@@ -54,8 +54,8 @@ class TestLinks:
         elements, rect = _rectangle_setup()
         raw = engine.run(elements, rect)
         for ln in raw.links:
-            p0 = np.asarray(ln.bisector.point(ln.s_from))
-            p1 = np.asarray(ln.bisector.point(ln.s_to))
+            p0 = np.asarray(ln.bisector.point(ln.t_from))
+            p1 = np.asarray(ln.bisector.point(ln.t_to))
             n0 = np.asarray(raw.nodes[ln.node_from].location)
             n1 = np.asarray(raw.nodes[ln.node_to].location)
             assert np.hypot(*(p0 - n0)) <= 1e-6

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shockgraph.bisectors import KIND_PARABOLA
 from shockgraph.errors import StructuralError
 from shockgraph.graph import (DEGENERATE, JUNCTION, REGULAR, SEMIDEGENERATE,
                               SINK, SOURCE, ShockNode, classify_node,
@@ -66,6 +67,18 @@ class TestGeometry:
             rr = ln.sample_radii(64)
             d = np.diff(rr)
             assert (d >= -1e-9).all() or (d <= 1e-9).all()
+
+    def test_samples_uniform_in_arc_length(self, rectangle_scene):
+        # a parabola's parameter is not arc length, so these links show
+        # whether sampling maps arc length back to the parameter
+        graph, _, _, _ = rectangle_scene
+        links = [ln for ln in graph.links
+                 if any(p.bisector.kind == KIND_PARABOLA for p in ln.pieces)]
+        assert links
+        for ln in links:
+            chords = np.hypot(*np.diff(ln.sample_points(65), axis=0).T)
+            assert np.isclose(chords.sum(), ln.length, rtol=1e-4, atol=0.0)
+            assert chords.max() <= 1.01 * chords.min()
 
     def test_sample_points_endpoints(self, rectangle_scene):
         graph, _, _, _ = rectangle_scene
