@@ -4,7 +4,6 @@
 Usage:
 
     shockgraph scene.txt [more scenes or directories] -o out/
-    shockgraph --bench 50,100,200,400
 
 Scene inputs are contour text files or binary masks in portable bitmap form
 (P1/P4); directories are expanded to every *.scene / *.txt / *.pbm file they
@@ -36,7 +35,6 @@ from .errors import (InvalidInputError, NonterminationError, ShockGraphError)
 from .export import read_text, to_graphml, to_sgtext, to_svg, write_text
 from .graph import build_graph
 from .regularize import augment_with_box, prune
-from .scenes import random_element_scene
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,14 +137,18 @@ def load_scene(path: str):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file in its directory, which
+    is created if missing; any OS failure is a 'cannot write' input error."""
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
@@ -168,7 +170,6 @@ def run_scene(config: RunConfig, scene_path: str) -> dict:
                   box_fragment_id=box_fid)
 
     stem = os.path.splitext(os.path.basename(scene_path))[0]
-    os.makedirs(config.output_dir, exist_ok=True)
     for fmt in config.formats:
         out = os.path.join(config.output_dir, stem + _SUFFIX[fmt])
         if fmt == "sgtext":
@@ -192,34 +193,6 @@ def run_scene(config: RunConfig, scene_path: str) -> dict:
         "links": len(graph.links),
         "wall": round(time.perf_counter() - t0, 3),
     }
-
-
-def bench(config: RunConfig, sizes: list[int]) -> list[dict]:
-    """Wall time and event count per element count N on generated scenes."""
-    if sorted(sizes) != list(sizes):
-        raise InvalidInputError("bench sizes must be ascending")
-    rows = []
-    for n in sizes:
-        frags, img = random_element_scene(n, seed=n)
-        frags, rect, _ = augment_with_box(
-            frags, img.xmax - img.xmin, img.ymax - img.ymin,
-            config.bbox_scale)
-        elements = decompose(frags)
-        t0 = time.perf_counter()
-        raw = engine.run(elements, rect, event_budget=config.event_budget)
-        wall = time.perf_counter() - t0
-        rows.append({"n": n, "elements": len(elements),
-                     "events": raw.stats["events"],
-                     "nodes": len(raw.nodes), "links": len(raw.links),
-                     "wall": round(wall, 3)})
-    return rows
-
-
-def fit_loglog_slope(rows: list[dict]) -> float:
-    """Least-squares slope of log wall time against log N."""
-    xs = np.log([r["n"] for r in rows])
-    ys = np.log([max(r["wall"], 1e-9) for r in rows])
-    return float(np.polyfit(xs, ys, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +257,6 @@ def main(argv=None) -> int:
                     help="drop shock links generated by the bounding box")
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker pool width for batch runs")
-    ap.add_argument("--bench", default=None, metavar="N1,N2,...",
-                    help="benchmark generated scenes at these element counts")
     ns = ap.parse_args(argv)
 
     budget = os.environ.get("SHOCKGRAPH_EVENT_BUDGET")
@@ -304,20 +275,6 @@ def main(argv=None) -> int:
     except (InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    if ns.bench:
-        try:
-            sizes = [int(v) for v in ns.bench.split(",") if v.strip()]
-            rows = bench(config, sizes)
-        except Exception as exc:  # noqa: BLE001
-            code = _classify(exc)
-            print(f"error: {exc}", file=sys.stderr)
-            return code
-        for r in rows:
-            print(_format_report(r))
-        if len(rows) > 1:
-            print(f"loglog_slope={fit_loglog_slope(rows):.3f}")
-        return EXIT_OK
 
     if not config.inputs:
         ap.print_usage(sys.stderr)

@@ -253,12 +253,6 @@ class ShockCandidate:
     gen_lo: int
     gen_hi: int
     branch: int
-    location: tuple = field(compare=False)
-    record_index: int = field(default=-1, compare=False)
-
-    @property
-    def generators(self):
-        return (self.gen_lo, self.gen_hi)
 
 
 def _candidate_arrays(elements: list[BoundaryElement]):
@@ -880,8 +874,7 @@ class Engine:
             d[rr, g2[rows]] = _INF
             ok[rows] = d.min(axis=1) >= t[rows] - 1e-9
         self.stats["discarded"] = int((~ok).sum())
-        out = [ShockCandidate(float(t[k]), int(g1[k]), int(g2[k]), int(br[k]),
-                              (float(x[k]), float(y[k])))
+        out = [ShockCandidate(float(t[k]), int(g1[k]), int(g2[k]), int(br[k]))
                for k in np.nonzero(ok)[0]]
         out.sort()
         return out

@@ -25,9 +25,7 @@ import numpy as np
 from .contours import SEGMENT, BoundaryElement
 from .errors import InvalidInputError
 from .features import FEATURE_LENGTH, edge_features, node_features
-from .graph import ShockGraph
-
-GEOMETRY_SAMPLES = 16
+from .graph import LINK_LABEL_CODES, LINK_SAMPLES, ShockGraph
 
 COLOR_CONTOUR = "#FF0000"
 COLOR_SHOCK = "#00FF00"
@@ -61,7 +59,7 @@ class SgLink:
     to_node: int
     label: str
     metrics: np.ndarray   # s, kappa, area, sB+, kB+, sB-, kB-
-    geometry: np.ndarray  # (GEOMETRY_SAMPLES, 2)
+    geometry: np.ndarray  # (LINK_SAMPLES, 2)
 
 
 @dataclass
@@ -86,7 +84,7 @@ def to_document(graph: ShockGraph, width: float, height: float,
         ev = edge_features(ln).values
         metrics = np.concatenate([ev[:3], ev[4:]])  # label kept as string
         doc.links.append(SgLink(ln.id, ln.from_node, ln.to_node, ln.label,
-                                metrics, ln.sample_points(GEOMETRY_SAMPLES)))
+                                metrics, ln.sample_points(LINK_SAMPLES)))
     return doc
 
 
@@ -133,8 +131,8 @@ def parse_sgtext(text: str) -> SgDocument:
         elif parts[0] == "e":
             if len(parts) != 12:
                 raise InvalidInputError(f"malformed link line: {lines[i]!r}")
-            geom = np.empty((GEOMETRY_SAMPLES, 2))
-            for j in range(GEOMETRY_SAMPLES):
+            geom = np.empty((LINK_SAMPLES, 2))
+            for j in range(LINK_SAMPLES):
                 gp = lines[i + 1 + j].split()
                 if gp[0] != "g" or len(gp) != 3:
                     raise InvalidInputError(
@@ -143,7 +141,7 @@ def parse_sgtext(text: str) -> SgDocument:
             doc.links.append(SgLink(
                 int(parts[1]), int(parts[2]), int(parts[3]), parts[4],
                 np.array([float(v) for v in parts[5:]]), geom))
-            i += 1 + GEOMETRY_SAMPLES
+            i += 1 + LINK_SAMPLES
         else:
             raise InvalidInputError(f"unknown sgtext record: {lines[i]!r}")
     return doc
@@ -178,8 +176,7 @@ def to_graphml(graph: ShockGraph, width: float, height: float,
                    % (e.id, e.from_node, e.to_node))
         out.append('      <data key="elabel">%s</data>' % escape(e.label))
         vals = np.concatenate([e.metrics[:3],
-                               [float({"Regular": 0, "SemiDegenerate": 1,
-                                       "Degenerate": 2}[e.label])],
+                               [float(LINK_LABEL_CODES[e.label])],
                                e.metrics[3:]])
         out.append('      <data key="efeatures">%s</data>'
                    % " ".join(_fmt(v) for v in vals))
@@ -213,7 +210,7 @@ def to_svg(graph: ShockGraph, elements: list[BoundaryElement],
            box.xmax - box.xmin + 2 * pad, box.ymax - box.ymin + 2 * pad),
     ]
     for ln in pruned_links:
-        out.append(_polyline(ln.sample_points(GEOMETRY_SAMPLES),
+        out.append(_polyline(ln.sample_points(LINK_SAMPLES),
                              COLOR_PRUNED, "0.12"))
     for e in elements:
         color = (COLOR_BOX if box_fragment_id is not None
@@ -225,7 +222,7 @@ def to_svg(graph: ShockGraph, elements: list[BoundaryElement],
             out.append('<circle cx="%.6f" cy="%.6f" r="0.08" fill="%s"/>'
                        % (x, y, color))
     for ln in graph.links:
-        out.append(_polyline(ln.sample_points(GEOMETRY_SAMPLES),
+        out.append(_polyline(ln.sample_points(LINK_SAMPLES),
                              COLOR_SHOCK, "0.12"))
     out.append('</svg>')
     return "\n".join(out) + "\n"

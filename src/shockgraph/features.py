@@ -10,8 +10,9 @@ incident link:
 
 theta_i is the direction in which link i leaves the node, phi_i the object
 angle between that direction and the contact rays, and bp_i the plus-side
-contact point with its boundary tangent angle; links are visited in the
-node's canonical (angle-sorted) order.  The degree-2 node block is truncated
+contact point with its boundary tangent angle.  node_features computes them
+here, from each incident link end (ShockLink.end), and visits the ends in
+increasing theta, ties broken by link id.  The degree-2 node block is truncated
 to 12 entries so the degree-2 prefix is exactly 28; degree-1 leaves are
 padded as degree 2 with an all-zero second block.
 """
@@ -69,10 +70,14 @@ def edge_features(link: ShockLink) -> EdgeFeatureVector:
     ]))
 
 
-def _away_angle(node: ShockNode, i: int) -> float:
-    t = node.tangents[i]
-    sgn = 1.0 if node.outgoing[i] else -1.0
-    return math.atan2(sgn * t[1], sgn * t[0])
+def _boundary_tangent(elements: list, gid: int) -> float:
+    """Boundary tangent angle at a contact: segment direction for segment
+    generators, 0 for point generators (no defined tangent) and for ids
+    not in elements."""
+    if not 0 <= gid < len(elements) or elements[gid].is_point:
+        return 0.0
+    (ax, ay), (bx, by) = elements[gid].geometry
+    return math.atan2(by - ay, bx - ax)
 
 
 def node_features(node: ShockNode, graph: ShockGraph) -> NodeFeatureVector:
@@ -97,12 +102,21 @@ def node_features(node: ShockNode, graph: ShockGraph) -> NodeFeatureVector:
     phis = np.zeros(padded)
     bps = np.zeros((padded, 3))
     edges = np.zeros((padded, 8))
-    for i in range(d):
-        thetas[i] = _away_angle(node, i)
-        phis[i] = node.phis[i]
-        (bx, by), bth = node.boundary_points[i][0]
-        bps[i] = (bx, by, bth)
-        edges[i] = edge_features(graph.links[node.link_ids[i]]).values
+    ends = []
+    for lid, out in zip(node.link_ids, node.outgoing):
+        end = graph.links[lid].end(out)
+        away = end.tangent()
+        ends.append((math.atan2(away[1], away[0]), lid, end))
+    ends.sort(key=lambda e: e[:2])
+    for i, (theta, lid, end) in enumerate(ends):
+        thetas[i] = theta
+        # contact rays make angle phi with the away-tangent:
+        # dot(away, ray) = -dr/ds measured away from the node
+        phis[i] = math.acos(min(1.0, max(-1.0, -end.dradius())))
+        bx, by = end.contacts()[0]
+        gen_plus = end.piece.side_generators()[0]
+        bps[i] = (bx, by, _boundary_tangent(graph.elements, gen_plus))
+        edges[i] = edge_features(graph.links[lid]).values
 
     block = np.concatenate([
         [node.location[0], node.location[1], node.radius,

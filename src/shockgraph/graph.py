@@ -9,9 +9,11 @@ contains only sources, sinks and true junctions and the graph topology does
 not depend on how densely a contour was sampled. assemble() is the one place
 that does this, for the raw graph (build_graph) and after pruning (prune).
 
-Node attributes (radius, per-incident-link tangents/normals, the object angle
-phi between the shock tangent and the contact rays, and the contact points
-bp+/bp-) and link attributes (arc length, curvature samples, swept area,
+Nodes carry topology only: location, radius, label and their incident link
+ends. The per-link node descriptor (the direction a link leaves in, the
+object angle phi between it and the contact rays, and the plus-side contact
+point) is computed by features.node_features from each link end (see
+ShockLink.end). Link attributes (arc length, curvature samples, swept area,
 per-side boundary summaries) are computed analytically from the underlying
 bisectors. Link arc length and label are set at assembly; the other link
 attributes are computed on first read (see ShockLink).
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +44,8 @@ DEGENERATE = "Degenerate"
 NODE_LABEL_CODES = {SOURCE: 0, SINK: 1, JUNCTION: 2}
 LINK_LABEL_CODES = {REGULAR: 0, SEMIDEGENERATE: 1, DEGENERATE: 2}
 
-CURVATURE_SAMPLES = 16
+# uniform arc-length samples per link: curvature samples and exported geometry
+LINK_SAMPLES = 16
 
 
 @dataclass
@@ -88,6 +92,34 @@ class Piece:
         return (cp, cm) if self.direction > 0 else (cm, cp)
 
 
+class LinkEnd(NamedTuple):
+    """One end of a link as its node sees it: the end piece, its parameter t
+    at the node, and step, the sign of the change in t that moves into the
+    link, away from the node."""
+    piece: Piece
+    t: float
+    step: float
+
+    def tangent(self) -> np.ndarray:
+        """Unit tangent pointing away from the node."""
+        return self.step * np.asarray(self.piece.bisector.tangent(self.t),
+                                      dtype=float)
+
+    def dradius(self) -> float:
+        """dr per unit arc length moving away from the node.
+
+        Evaluated a hair inside the link, an offset in t: r has a corner
+        (|t|) at branch apexes, where the one-sided derivative into the link
+        is the right limit, not the two-sided 0."""
+        eps = 1e-9 + 1e-7 * self.piece.length
+        return self.step * float(
+            self.piece.bisector.dradius(self.t + self.step * eps))
+
+    def contacts(self) -> tuple:
+        """(bp_plus, bp_minus) at the node, sides relative to the flow."""
+        return self.piece.contacts_at(self.t)
+
+
 @dataclass
 class BoundaryRef:
     """Per-side contact summary: which generators, contact-locus arc length,
@@ -119,11 +151,11 @@ class ShockLink:
 
     @cached_property
     def curvature_samples(self) -> np.ndarray:
-        """Signed curvature at CURVATURE_SAMPLES uniform arc-length samples,
+        """Signed curvature at the LINK_SAMPLES uniform arc-length samples,
         oriented along the flow direction."""
         if self.length <= 0.0:
-            return np.zeros(CURVATURE_SAMPLES)
-        return self._sampled(CURVATURE_SAMPLES, lambda p, ts:
+            return np.zeros(LINK_SAMPLES)
+        return self._sampled(LINK_SAMPLES, lambda p, ts:
                              p.direction * p.bisector.curvature(ts))
 
     @cached_property
@@ -170,10 +202,17 @@ class ShockLink:
             ts[m] = p.bisector.t_of_s(p.s0 + p.direction * (us[m] - cum[i]))
         return idx, ts
 
+    @cached_property
+    def _grid(self) -> tuple:
+        """piece_params at the LINK_SAMPLES uniform arc-length samples,
+        shared by the curvature samples and the exported geometry."""
+        return self.piece_params(np.linspace(0.0, self.length, LINK_SAMPLES))
+
     def _sampled(self, n: int, fn, shape=()) -> np.ndarray:
         """fn(piece, t array) at n points uniformly spaced in arc length
         over the link, as an (n, *shape) array."""
-        idx, ts = self.piece_params(np.linspace(0.0, self.length, n))
+        idx, ts = (self._grid if n == LINK_SAMPLES else
+                   self.piece_params(np.linspace(0.0, self.length, n)))
         out = np.empty((n,) + shape)
         for i in np.unique(idx):
             m = idx == i
@@ -203,36 +242,14 @@ class ShockLink:
         p = self.pieces[-1]
         return float(p.bisector.radius(p.t1))
 
-    def tangent_at_from(self) -> np.ndarray:
-        p = self.pieces[0]
-        return p.direction * np.asarray(p.bisector.tangent(p.t0), dtype=float)
-
-    def tangent_at_to(self) -> np.ndarray:
-        p = self.pieces[-1]
-        return p.direction * np.asarray(p.bisector.tangent(p.t1), dtype=float)
-
-    def dradius_at(self, node_end: str) -> float:
-        """dr per unit arc length along the flow direction at an end.
-
-        Evaluated a hair inside the link, an offset in t: r has a corner
-        (|t|) at branch apexes, where the one-sided derivative into the link
-        is the right limit, not the two-sided 0."""
-        if node_end == "from":
+    def end(self, outgoing: bool) -> LinkEnd:
+        """The link's end at its from node if outgoing (the link leaves the
+        node), else at its to node."""
+        if outgoing:
             p = self.pieces[0]
-            eps = 1e-9 + 1e-7 * p.length
-            return p.direction * float(p.bisector.dradius(
-                p.t0 + p.direction * eps))
+            return LinkEnd(p, p.t0, p.direction)
         p = self.pieces[-1]
-        eps = 1e-9 + 1e-7 * p.length
-        return p.direction * float(p.bisector.dradius(
-            p.t1 - p.direction * eps))
-
-    def contacts_at_end(self, node_end: str):
-        if node_end == "from":
-            p = self.pieces[0]
-            return p.contacts_at(p.t0)
-        p = self.pieces[-1]
-        return p.contacts_at(p.t1)
+        return LinkEnd(p, p.t1, -p.direction)
 
 
 @dataclass
@@ -241,12 +258,10 @@ class ShockNode:
     location: tuple
     radius: float
     label: str = ""
-    link_ids: list = field(default_factory=list)      # angle-sorted
+    # incident link ids in link-id order (a self-loop appears twice);
+    # features.node_features orders them by the direction they leave in
+    link_ids: list = field(default_factory=list)
     outgoing: list = field(default_factory=list)      # parallel: True if link leaves
-    tangents: list = field(default_factory=list)      # flow tangents, one per link
-    normals: list = field(default_factory=list)       # left normals of the tangents
-    phis: list = field(default_factory=list)          # object angle per link
-    boundary_points: list = field(default_factory=list)  # [(bp+, th+), (bp-, th-)] per link
 
     @property
     def degree(self) -> int:
@@ -259,6 +274,7 @@ class ShockGraph:
     links: list            # list[ShockLink], ids are list positions
     scene: tuple = None    # (width, height, box Rect)
     stats: dict = field(default_factory=dict)
+    elements: list = field(default_factory=list)  # ids are list positions
 
     def incident(self, node_id: int):
         n = self.nodes[node_id]
@@ -393,52 +409,6 @@ def _boundary_refs(link: ShockLink) -> tuple[BoundaryRef, BoundaryRef]:
 
 
 # ---------------------------------------------------------------------------
-# Node attribute computation
-# ---------------------------------------------------------------------------
-
-def _element_tangent(elem: BoundaryElement | None) -> float:
-    """Boundary tangent angle at a contact: segment direction for segments,
-    0 for point generators (no defined tangent)."""
-    if elem is None or elem.is_point:
-        return 0.0
-    (ax, ay), (bx, by) = elem.geometry
-    return math.atan2(by - ay, bx - ax)
-
-
-def _populate_node(node: ShockNode, graph: ShockGraph,
-                   by_id: dict) -> None:
-    if not node.link_ids:
-        # collapse sink retained by pruning: keep its preset label
-        if not node.label:
-            raise StructuralError(f"node {node.id}: isolated (no incident links)")
-        return
-    entries = []
-    for lid, out in zip(node.link_ids, node.outgoing):
-        ln = graph.links[lid]
-        end = "from" if out else "to"
-        tan = ln.tangent_at_from() if out else ln.tangent_at_to()
-        away = tan if out else -tan
-        # contact rays make angle phi with the away-tangent:
-        # dot(away, ray) = -dr/ds measured away from the node
-        dr_away = ln.dradius_at(end) * (1.0 if out else -1.0)
-        phi = math.acos(min(1.0, max(-1.0, -dr_away)))
-        bp, bm = ln.contacts_at_end(end)
-        gp, gm = ln.pieces[0 if out else -1].side_generators()
-        bps = [((float(bp[0]), float(bp[1])), _element_tangent(by_id.get(gp))),
-               ((float(bm[0]), float(bm[1])), _element_tangent(by_id.get(gm)))]
-        key = math.atan2(away[1], away[0])
-        entries.append((key, lid, out, tan, phi, bps))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    node.link_ids = [e[1] for e in entries]
-    node.outgoing = [e[2] for e in entries]
-    node.tangents = [e[3] for e in entries]
-    node.normals = [np.array([-t[1], t[0]]) for t in node.tangents]
-    node.phis = [e[4] for e in entries]
-    node.boundary_points = [e[5] for e in entries]
-    node.label = classify_node(node)
-
-
-# ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
 
@@ -453,8 +423,9 @@ def assemble(links, node_src, elements: list[BoundaryElement], stats: dict,
     node; what is left sits on pure flow-through cycles (closed shock loops
     with no junction), each anchored at the tail of its lowest-id link. The
     surviving nodes keep their order and are renumbered densely;
-    keep_isolated nodes survive without links, as sinks. stats becomes the
-    graph's stats dict.
+    keep_isolated nodes survive without links, as sinks; every other node
+    is labeled by classify_node. stats becomes the graph's stats dict, and
+    the graph keeps elements for the node descriptor.
     """
     n_in: dict[int, list] = {}
     n_out: dict[int, list] = {}
@@ -512,11 +483,11 @@ def assemble(links, node_src, elements: list[BoundaryElement], stats: dict,
         nodes[link.to_node].link_ids.append(link.id)
         nodes[link.to_node].outgoing.append(False)
 
-    graph = ShockGraph(nodes, out, scene=scene, stats=stats)
-    by_id = {e.id: e for e in elements}
     for nd in nodes:
-        _populate_node(nd, graph, by_id)
-    return graph
+        if nd.link_ids or not nd.label:  # collapse sinks keep their label
+            nd.label = classify_node(nd)
+    return ShockGraph(nodes, out, scene=scene, stats=stats,
+                      elements=elements)
 
 
 # ---------------------------------------------------------------------------

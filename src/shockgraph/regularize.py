@@ -116,16 +116,11 @@ def _chain_deformation(leaf_nid: int, first_lid: int, alive: dict,
         # (end of the first bisector piece); beyond it the branch is part
         # of the underlying axis and costs its full radius gain.
         ln = alive[first_lid]
-        if ln.from_node == leaf_nid:
-            dr_away = ln.dradius_at("from")
-            p = ln.pieces[0]
-            r_corner = float(p.bisector.radius(p.t1))
-        else:
-            dr_away = -ln.dradius_at("to")
-            p = ln.pieces[-1]
-            r_corner = float(p.bisector.radius(p.t0))
-        r_corner = min(r_corner, r_far)
-        sin_psi = min(1.0, max(0.0, dr_away))
+        out = ln.from_node == leaf_nid
+        end = ln.end(out)
+        p = end.piece
+        r_corner = min(float(p.bisector.radius(p.t1 if out else p.t0)), r_far)
+        sin_psi = min(1.0, max(0.0, end.dradius()))
         d = (r_corner * (1.0 - sin_psi) / max(sin_psi, 1e-9)
              + max(0.0, r_far - r_corner))
     else:

@@ -1,0 +1,68 @@
+from importlib import resources
+
+from shockgraph import cli, engine
+from shockgraph.contours import (check_no_crossings, decompose,
+                                 simplify_polyline)
+from shockgraph.export import to_sgtext
+from shockgraph.graph import build_graph
+from shockgraph.regularize import augment_with_box, prune
+
+RECTANGLE = str(resources.files("shockgraph.corpus") / "rectangle.scene")
+
+
+def _sgtext_at_defaults(path):
+    """sgtext of the pipeline at the CLI defaults, through library calls."""
+    width, height, frags = cli.load_scene(path)
+    frags = [simplify_polyline(f, 0.8) for f in frags]
+    frags, rect, box_fid = augment_with_box(frags, width, height, 2.0)
+    elements = decompose(frags)
+    check_no_crossings(elements)
+    graph = build_graph(engine.run(elements, rect), elements,
+                        scene=(width, height))
+    graph = prune(graph, elements, lam=1.0, box_fragment_id=box_fid)
+    return to_sgtext(graph, width, height, 1.0, 2.0)
+
+
+def test_corpus_rectangle_writes_pipeline_sgtext(tmp_path):
+    assert cli.main([RECTANGLE, "-o", str(tmp_path)]) == cli.EXIT_OK
+    written = (tmp_path / "rectangle.sg").read_text(encoding="utf-8")
+    assert written == _sgtext_at_defaults(RECTANGLE)
+
+
+def test_garbage_scene_is_a_parse_error(tmp_path):
+    bad = tmp_path / "bad.scene"
+    bad.write_text("this is not a scene\n")
+    assert cli.main([str(bad), "-o", str(tmp_path)]) == cli.EXIT_PARSE
+
+
+def test_missing_file_is_a_parse_error(tmp_path):
+    missing = str(tmp_path / "missing.scene")
+    assert cli.main([missing, "-o", str(tmp_path)]) == cli.EXIT_PARSE
+
+
+def test_unknown_format_is_a_usage_error(tmp_path):
+    assert cli.main([RECTANGLE, "-o", str(tmp_path), "--format", "pdf"]) \
+        == cli.EXIT_USAGE
+
+
+def test_negative_lambda_is_a_usage_error(tmp_path):
+    assert cli.main([RECTANGLE, "-o", str(tmp_path), "--lambda", "-1"]) \
+        == cli.EXIT_USAGE
+
+
+def test_uncreatable_output_dir_is_a_write_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")  # a directory below a regular file
+    assert cli.main([RECTANGLE, "-o", out]) == cli.EXIT_WRITE
+    report = capsys.readouterr().out
+    assert "status=error" in report and "cannot write" in report
+
+
+def test_batch_with_one_bad_scene(tmp_path, capsys):
+    bad = tmp_path / "bad.scene"
+    bad.write_text("this is not a scene\n")
+    code = cli.main([RECTANGLE, str(bad), "-o", str(tmp_path / "out")])
+    assert code == cli.EXIT_PARSE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "summary scenes=2 ok=1 failed=1"

@@ -5,7 +5,7 @@ from shockgraph.errors import FeatureOverflowError
 from shockgraph.features import (FEATURE_LENGTH, PREFIX_LENGTH, edge_features,
                                  graph_features, node_features)
 from shockgraph.graph import NODE_LABEL_CODES, ShockNode
-from shockgraph.scenes import random_scene
+from shockgraph.scenes import random_scene, square_fragment
 
 from conftest import build_scene
 
@@ -66,3 +66,42 @@ class TestGraphFeatures:
         nf, ef = graph_features(graph)
         assert nf.shape == (len(graph.nodes), FEATURE_LENGTH)
         assert ef.shape == (len(graph.links), 8)
+
+
+class TestNodeDescriptor:
+    """theta, phi and the plus-side contact point of every incident link,
+    read back from the populated slots of the node vector."""
+
+    @pytest.fixture(scope="class", params=[5, 9, "square"])
+    def graphs(self, request):
+        """The scene raw and at lambda 0 and 1: random_scene(12, seed), or
+        a square, whose centre is a degree-4 junction."""
+        if request.param == "square":
+            frags, size = [square_fragment()], 10.0
+        else:
+            frags, size = random_scene(12, request.param)[0], 100.0
+        return [build_scene(frags, size, size, lam=lam)[0]
+                for lam in (None, 0.0, 1.0)]
+
+    @staticmethod
+    def check_node(nd, v):
+        d, p = nd.degree, max(nd.degree, 2)
+        thetas = v[4:4 + d]
+        phis = v[4 + p:4 + p + d]
+        assert np.all(np.diff(thetas) >= 0.0)
+        assert np.all((phis >= 0.0) & (phis <= np.pi))
+        # (x, y, tangent) triples of the contact points whose x and y both
+        # fit in the node block (degree 2 truncates the second)
+        block = PREFIX_LENGTH[p] - 8 * p
+        for j in range(4 + 2 * p, block - 1, 3)[:d]:
+            dist = np.hypot(v[j] - nd.location[0], v[j + 1] - nd.location[1])
+            assert abs(dist - nd.radius) <= 1e-9 * max(1.0, nd.radius)
+
+    def test_theta_phi_contact(self, graphs):
+        degrees = set()
+        for graph in graphs:
+            for nd in graph.nodes:
+                if 1 <= nd.degree <= 4:
+                    degrees.add(nd.degree)
+                    self.check_node(nd, node_features(nd, graph).values)
+        assert {1, 3} <= degrees
