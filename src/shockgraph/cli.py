@@ -32,7 +32,8 @@ from . import engine
 from .contours import (check_no_crossings, decompose, parse_scene_text,
                        simplify_polyline, trace_binary_mask)
 from .errors import (InvalidInputError, NonterminationError, ShockGraphError)
-from .export import read_text, to_graphml, to_sgtext, to_svg, write_text
+from .export import (format_graphml, format_sgtext, read_text, to_document,
+                     to_svg)
 from .graph import build_graph
 from .regularize import augment_with_box, prune
 
@@ -170,14 +171,16 @@ def run_scene(config: RunConfig, scene_path: str) -> dict:
                   box_fragment_id=box_fid)
 
     stem = os.path.splitext(os.path.basename(scene_path))[0]
+    # sgtext and GraphML write the same document
+    doc = None
+    if {"sgtext", "graphml"}.intersection(config.formats):
+        doc = to_document(graph, width, height, config.lam, config.bbox_scale)
     for fmt in config.formats:
         out = os.path.join(config.output_dir, stem + _SUFFIX[fmt])
         if fmt == "sgtext":
-            text = to_sgtext(graph, width, height, config.lam,
-                             config.bbox_scale)
+            text = format_sgtext(doc)
         elif fmt == "graphml":
-            text = to_graphml(graph, width, height, config.lam,
-                              config.bbox_scale)
+            text = format_graphml(doc)
         else:
             text = to_svg(graph, elements, rect, box_fragment_id=box_fid)
         _atomic_write(out, text)

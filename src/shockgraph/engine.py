@@ -1,17 +1,21 @@
 """Event-driven shock propagation over two time-ordered lists.
 
-Candidate shock sources (one per admissible element pair) are enumerated up
-front, validity-filtered against the static element set, and visited in time
-order; active shocks always take priority over candidates. Each active shock
-is advanced to its first termination: the earliest parameter where a third
-element's wavefront arrives simultaneously (a junction), the bisector domain
-end, or the clipping box.
+Candidate shock sources (one per admissible element pair) are enumerated and
+validity-filtered against the static element set in blocks of element rows
+sized by a pair budget, so the pass holds only one block's arrays and the
+valid candidates, not all element pairs.  The valid candidates are visited
+in time order; active shocks always take priority over candidates.  Each
+active shock is advanced to its first termination: the earliest parameter
+where a third element's wavefront arrives simultaneously (a junction), the
+bisector domain end, or the clipping box.
 
 Termination search is closed form: along every bisector kind the squared
 deficit dist(p, e)^2 - r^2 to a third element e is a quadratic in the
 bisector's natural parameter t (arc length for the straight kinds, the
 directrix coordinate xi for parabolas), so each element's first simultaneous
-arrival is a quadratic root (see _crossing_params).  The engine works in t
+arrival is a quadratic root (see _crossing_params).  The roots are solved
+once per bisector branch and cached, trimmed to the hull of the branch's
+piece domains, outside which propagation reads none.  The engine works in t
 throughout, and raw links record t.  A validity sweep of exact distances at
 interior samples of every traced link catches a missed crossing and
 truncates the link there by bisection.
@@ -255,139 +259,163 @@ class ShockCandidate:
     branch: int
 
 
-def _candidate_arrays(elements: list[BoundaryElement]):
-    """Vectorized candidate enumeration over all admissible element pairs.
+# Element pairs per candidate block.  The candidate pass builds about 240
+# bytes of transient arrays per pair, so blocks of this many pairs (about
+# 30 MB) bound its memory however many element pairs the scene has; a block
+# holds max(1, _PAIR_BUDGET // n_elements) element rows.
+_PAIR_BUDGET = 1 << 17
 
-    Returns flat arrays (time, x, y, gen_lo, gen_hi, branch); branch -1 marks
-    candidates whose bisector branch is resolved when they are visited.
+
+def _candidate_part(t, x, y, a, b, br):
+    """One family's candidates as flat arrays (time, x, y, gen_lo, gen_hi,
+    branch); branch -1 marks candidates whose bisector branch is resolved
+    when they are visited."""
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    return (np.asarray(t, dtype=float).ravel(),
+            np.asarray(x, dtype=float).ravel(),
+            np.asarray(y, dtype=float).ravel(),
+            lo.astype(int), hi.astype(int),
+            np.broadcast_to(np.asarray(br, dtype=int), lo.shape).ravel())
+
+
+def _later_pairs(lo, hi, n):
+    """Index pairs (i, j) with lo <= i < hi and i < j < n."""
+    i, j = np.nonzero(np.arange(n)[None, :] > np.arange(lo, hi)[:, None])
+    return i + lo, j
+
+
+def _point_point_candidates(P, ids, iu, ju):
+    """Perpendicular-bisector midpoints of point pairs (iu, ju)."""
+    mids = 0.5 * (P[iu] + P[ju])
+    return _candidate_part(0.5 * np.hypot(*(P[iu] - P[ju]).T), mids[:, 0],
+                           mids[:, 1], ids[iu], ids[ju], -1)
+
+
+def _point_segment_candidates(P, pids, adj, A, Du, L, sids):
+    """Endpoint perpendiculars (time 0) and parabola minima of points P
+    against every segment; adj marks each point's own segments."""
+    rel = P[:, None, :] - A[None, :, :]
+    tq = rel[:, :, 0] * Du[None, :, 0] + rel[:, :, 1] * Du[None, :, 1]
+    h = np.abs(rel[:, :, 0] * Du[None, :, 1] - rel[:, :, 1] * Du[None, :, 0])
+    pr, sc = np.nonzero(adj)
+    if len(pr):
+        yield _candidate_part(np.zeros(len(pr)), P[pr, 0], P[pr, 1],
+                              pids[pr], sids[sc], 0)
+    free = (~adj) & (h > 1e-9)  # collinear pairs are mediated by endpoints
+    pr, sc = np.nonzero(free)
+    if len(pr):
+        xi_lo, xi_hi = -tq[pr, sc], L[sc] - tq[pr, sc]
+        xi = np.where((xi_lo < 0.0) & (xi_hi > 0.0), 0.0,
+                      np.where(xi_lo >= 0.0, xi_lo, xi_hi))
+        hh = h[pr, sc]
+        rr = (xi * xi + hh * hh) / (2.0 * hh)
+        foot0 = A[sc] + tq[pr, sc][:, None] * Du[sc]
+        nvec = (P[pr] - foot0) / hh[:, None]
+        loc = foot0 + xi[:, None] * Du[sc] + rr[:, None] * nvec
+        yield _candidate_part(rr, loc[:, 0], loc[:, 1], pids[pr], sids[sc], 0)
+
+
+def _segment_segment_candidates(segs, A, Du, L, sids, iu, ju):
+    """Both angle-bisector branches of segment pairs (iu, ju),
+    feet-windowed."""
+    a1, d1, l1 = A[iu], Du[iu], L[iu]
+    a2, d2, l2 = A[ju], Du[ju], L[ju]
+    denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    par = np.abs(denom) < 1e-7
+    # parallel pairs are few; their midline candidates go through the
+    # object constructor
+    for i, j in zip(iu[par], ju[par]):
+        for rec in _segment_pair_branches(segs[i], segs[j]):
+            s_star = rec.argmin_radius()
+            loc = rec.point(s_star)
+            yield _candidate_part(float(rec.radius(s_star)), loc[0], loc[1],
+                                  np.array([rec.pair[0]]),
+                                  np.array([rec.pair[1]]), rec.branch)
+    np_mask = ~par
+    if not np_mask.any():
+        return
+    a1, d1, l1 = a1[np_mask], d1[np_mask], l1[np_mask]
+    a2, d2, l2 = a2[np_mask], d2[np_mask], l2[np_mask]
+    den = denom[np_mask]
+    i1, i2 = sids[iu[np_mask]], sids[ju[np_mask]]
+    r12 = a2 - a1
+    tt = (r12[:, 0] * d2[:, 1] - r12[:, 1] * d2[:, 0]) / den
+    O = a1 + tt[:, None] * d1
+    flip = (d1[:, 0] * d2[:, 0] + d1[:, 1] * d2[:, 1]) < 0
+    d2c = np.where(flip[:, None], -d2, d2)
+    for br, w_raw in ((0, d1 + d2c), (1, d1 - d2c)):
+        nw = np.hypot(w_raw[:, 0], w_raw[:, 1])
+        okw = nw > EPS_GEOM
+        w = np.where(okw[:, None], w_raw / np.where(okw, nw, 1.0)[:, None], 0.0)
+        neg = (w[:, 0] < 0) | ((w[:, 0] == 0) & (w[:, 1] < 0))
+        w = np.where(neg[:, None], -w, w)
+        slope = np.abs(w[:, 0] * d1[:, 1] - w[:, 1] * d1[:, 0])
+        okw &= slope > 1e-12
+        dom_lo = np.full(len(w), -_INF)
+        dom_hi = np.full(len(w), _INF)
+        for (ai, di, li) in ((a1, d1, l1), (a2, d2, l2)):
+            t0 = (O[:, 0] - ai[:, 0]) * di[:, 0] + (O[:, 1] - ai[:, 1]) * di[:, 1]
+            gg = w[:, 0] * di[:, 0] + w[:, 1] * di[:, 1]
+            tiny = np.abs(gg) < 1e-14
+            ggs = np.where(tiny, 1.0, gg)
+            b1 = (0.0 - t0) / ggs
+            b2 = (li - t0) / ggs
+            blo = np.minimum(b1, b2)
+            bhi = np.maximum(b1, b2)
+            inside = (t0 > 0.0) & (t0 < li)
+            blo = np.where(tiny, np.where(inside, -_INF, _INF), blo)
+            bhi = np.where(tiny, np.where(inside, _INF, -_INF), bhi)
+            dom_lo = np.maximum(dom_lo, blo)
+            dom_hi = np.minimum(dom_hi, bhi)
+        okw &= dom_hi - dom_lo > EPS_GEOM
+        if not okw.any():
+            continue
+        s_star = np.clip(0.0, dom_lo[okw], dom_hi[okw])
+        loc = O[okw] + s_star[:, None] * w[okw]
+        yield _candidate_part(slope[okw] * np.abs(s_star), loc[:, 0],
+                              loc[:, 1], i1[okw], i2[okw], br)
+
+
+def _candidate_blocks(elements: list[BoundaryElement], rows: int):
+    """Candidates over all admissible element pairs, one block at a time.
+
+    A block pairs at most `rows` points with every later point and every
+    segment, or at most `rows` segments with every later segment, so it
+    holds at most rows * len(elements) pairs.  Each block is yielded as the
+    concatenated arrays of _candidate_part.
     """
     points = [e for e in elements if e.kind == POINT]
     segs = [e for e in elements if e.kind == SEGMENT]
-    ts, xs, ys, g1s, g2s, brs = [], [], [], [], [], []
-
-    def emit(t, x, y, a, b, br):
-        ts.append(np.asarray(t, dtype=float).ravel())
-        xs.append(np.asarray(x, dtype=float).ravel())
-        ys.append(np.asarray(y, dtype=float).ravel())
-        lo = np.minimum(a, b).ravel()
-        hi = np.maximum(a, b).ravel()
-        g1s.append(lo.astype(int))
-        g2s.append(hi.astype(int))
-        brs.append(np.broadcast_to(np.asarray(br, dtype=int), lo.shape).ravel())
-
-    # point-point: perpendicular-bisector midpoint
-    if len(points) >= 2:
-        P = np.array([p.geometry for p in points])
-        ids = np.array([p.id for p in points])
-        iu, ju = np.triu_indices(len(points), k=1)
-        mids = 0.5 * (P[iu] + P[ju])
-        emit(0.5 * np.hypot(*(P[iu] - P[ju]).T), mids[:, 0], mids[:, 1],
-             ids[iu], ids[ju], -1)
-
-    # point-segment: endpoint perpendiculars (time 0) and parabola minima
-    if points and segs:
-        P = np.array([p.geometry for p in points])
-        pids = np.array([p.id for p in points])
-        A = np.array([s.geometry[0] for s in segs])
-        B = np.array([s.geometry[1] for s in segs])
-        sids = np.array([s.id for s in segs])
-        D = B - A
-        L = np.hypot(D[:, 0], D[:, 1])
-        Du = D / L[:, None]
-        rel = P[:, None, :] - A[None, :, :]
-        tq = rel[:, :, 0] * Du[None, :, 0] + rel[:, :, 1] * Du[None, :, 1]
-        h = np.abs(rel[:, :, 0] * Du[None, :, 1] - rel[:, :, 1] * Du[None, :, 0])
-        adj = np.zeros(tq.shape, dtype=bool)
-        pid_to_row = {int(pid): r for r, pid in enumerate(pids)}
-        for c, s in enumerate(segs):
-            for eid in s.adjacency:
-                if eid in pid_to_row:
-                    adj[pid_to_row[eid], c] = True
-        pr, sc = np.nonzero(adj)
-        if len(pr):
-            emit(np.zeros(len(pr)), P[pr, 0], P[pr, 1], pids[pr], sids[sc], 0)
-        free = (~adj) & (h > 1e-9)  # collinear pairs are mediated by endpoints
-        pr, sc = np.nonzero(free)
-        if len(pr):
-            xi_lo, xi_hi = -tq[pr, sc], L[sc] - tq[pr, sc]
-            xi = np.where((xi_lo < 0.0) & (xi_hi > 0.0), 0.0,
-                          np.where(xi_lo >= 0.0, xi_lo, xi_hi))
-            hh = h[pr, sc]
-            rr = (xi * xi + hh * hh) / (2.0 * hh)
-            foot0 = A[sc] + tq[pr, sc][:, None] * Du[sc]
-            nvec = (P[pr] - foot0) / hh[:, None]
-            loc = foot0 + xi[:, None] * Du[sc] + rr[:, None] * nvec
-            emit(rr, loc[:, 0], loc[:, 1], pids[pr], sids[sc], 0)
-
-    # segment-segment: both angle-bisector branches, feet-windowed
-    if len(segs) >= 2:
-        A = np.array([s.geometry[0] for s in segs])
-        B = np.array([s.geometry[1] for s in segs])
-        sids = np.array([s.id for s in segs])
-        D = B - A
-        L = np.hypot(D[:, 0], D[:, 1])
-        Du = D / L[:, None]
-        iu, ju = np.triu_indices(len(segs), k=1)
-        a1, d1, l1 = A[iu], Du[iu], L[iu]
-        a2, d2, l2 = A[ju], Du[ju], L[ju]
-        denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        par = np.abs(denom) < 1e-7
-        # parallel pairs are few; their midline candidates go through the
-        # object constructor
-        for i, j in zip(iu[par], ju[par]):
-            for rec in _segment_pair_branches(segs[i], segs[j]):
-                s_star = rec.argmin_radius()
-                loc = rec.point(s_star)
-                emit(float(rec.radius(s_star)), loc[0], loc[1],
-                     np.array([rec.pair[0]]), np.array([rec.pair[1]]), rec.branch)
-        np_mask = ~par
-        if np_mask.any():
-            a1, d1, l1 = a1[np_mask], d1[np_mask], l1[np_mask]
-            a2, d2, l2 = a2[np_mask], d2[np_mask], l2[np_mask]
-            den = denom[np_mask]
-            i1, i2 = sids[iu[np_mask]], sids[ju[np_mask]]
-            r12 = a2 - a1
-            tt = (r12[:, 0] * d2[:, 1] - r12[:, 1] * d2[:, 0]) / den
-            O = a1 + tt[:, None] * d1
-            flip = (d1[:, 0] * d2[:, 0] + d1[:, 1] * d2[:, 1]) < 0
-            d2c = np.where(flip[:, None], -d2, d2)
-            for br, w_raw in ((0, d1 + d2c), (1, d1 - d2c)):
-                nw = np.hypot(w_raw[:, 0], w_raw[:, 1])
-                okw = nw > EPS_GEOM
-                w = np.where(okw[:, None], w_raw / np.where(okw, nw, 1.0)[:, None], 0.0)
-                neg = (w[:, 0] < 0) | ((w[:, 0] == 0) & (w[:, 1] < 0))
-                w = np.where(neg[:, None], -w, w)
-                slope = np.abs(w[:, 0] * d1[:, 1] - w[:, 1] * d1[:, 0])
-                okw &= slope > 1e-12
-                dom_lo = np.full(len(w), -_INF)
-                dom_hi = np.full(len(w), _INF)
-                for (ai, di, li) in ((a1, d1, l1), (a2, d2, l2)):
-                    t0 = (O[:, 0] - ai[:, 0]) * di[:, 0] + (O[:, 1] - ai[:, 1]) * di[:, 1]
-                    gg = w[:, 0] * di[:, 0] + w[:, 1] * di[:, 1]
-                    tiny = np.abs(gg) < 1e-14
-                    ggs = np.where(tiny, 1.0, gg)
-                    b1 = (0.0 - t0) / ggs
-                    b2 = (li - t0) / ggs
-                    blo = np.minimum(b1, b2)
-                    bhi = np.maximum(b1, b2)
-                    inside = (t0 > 0.0) & (t0 < li)
-                    blo = np.where(tiny, np.where(inside, -_INF, _INF), blo)
-                    bhi = np.where(tiny, np.where(inside, _INF, -_INF), bhi)
-                    dom_lo = np.maximum(dom_lo, blo)
-                    dom_hi = np.minimum(dom_hi, bhi)
-                okw &= dom_hi - dom_lo > EPS_GEOM
-                if not okw.any():
-                    continue
-                s_star = np.clip(0.0, dom_lo[okw], dom_hi[okw])
-                loc = O[okw] + s_star[:, None] * w[okw]
-                emit(slope[okw] * np.abs(s_star), loc[:, 0], loc[:, 1],
-                     i1[okw], i2[okw], br)
-
-    if not ts:
-        z = np.empty(0)
-        return z, z, z, z.astype(int), z.astype(int), z.astype(int)
-    return (np.concatenate(ts), np.concatenate(xs), np.concatenate(ys),
-            np.concatenate(g1s), np.concatenate(g2s), np.concatenate(brs))
+    P = np.array([p.geometry for p in points], dtype=float).reshape(-1, 2)
+    pids = np.array([p.id for p in points], dtype=int)
+    A = np.array([s.geometry[0] for s in segs], dtype=float).reshape(-1, 2)
+    B = np.array([s.geometry[1] for s in segs], dtype=float).reshape(-1, 2)
+    sids = np.array([s.id for s in segs], dtype=int)
+    D = B - A
+    L = np.hypot(D[:, 0], D[:, 1])
+    Du = D / L[:, None]
+    # (point row, segment column) of every point that ends its segment
+    pid_to_row = {int(pid): r for r, pid in enumerate(pids)}
+    own = np.array([(pid_to_row[eid], c) for c, s in enumerate(segs)
+                    for eid in s.adjacency if eid in pid_to_row],
+                   dtype=int).reshape(-1, 2)
+    for lo in range(0, len(points), rows):
+        hi = min(lo + rows, len(points))
+        parts = [_point_point_candidates(
+            P, pids, *_later_pairs(lo, hi, len(points)))]
+        if len(segs):
+            adj = np.zeros((hi - lo, len(segs)), dtype=bool)
+            mine = own[(own[:, 0] >= lo) & (own[:, 0] < hi)]
+            adj[mine[:, 0] - lo, mine[:, 1]] = True
+            parts += _point_segment_candidates(P[lo:hi], pids[lo:hi], adj,
+                                               A, Du, L, sids)
+        yield tuple(np.concatenate(col) for col in zip(*parts))
+    for lo in range(0, len(segs), rows):
+        hi = min(lo + rows, len(segs))
+        parts = list(_segment_segment_candidates(
+            segs, A, Du, L, sids, *_later_pairs(lo, hi, len(segs))))
+        if parts:
+            yield tuple(np.concatenate(col) for col in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +523,7 @@ class Engine:
         self._active: list = []
         self._seq = itertools.count()
         self.stats = {"elements": n, "candidates": 0, "discarded": 0,
-                      "realized": 0, "events": 0}
+                      "realized": 0, "events": 0, "sweep_truncations": 0}
 
     # -- nodes -------------------------------------------------------------
     def _node_at(self, loc, radius, gen_ids):
@@ -703,18 +731,26 @@ class Engine:
         return np.concatenate(params), np.concatenate(ids)
 
     def _crossings(self, rec: Bisector):
-        """Finite crossings of rec sorted by parameter, as (params, ids)
-        arrays.  The root set depends only on the bisector's geometry, so it
-        is solved once per branch against the full element set and cached
-        for re-propagation (box-clipped pieces of one parabola share it)."""
-        cached = self._root_cache.get(rec.branch_key)
+        """Crossings of rec that propagation can read, sorted by parameter,
+        as (params, ids) arrays.  The root set depends only on the branch's
+        geometry, so it is solved once per branch and cached for
+        re-propagation.  propagate reads only roots inside the domain of the
+        piece it traces, so the cache keeps the finite roots inside the hull
+        of the domains of all pieces of the branch (box-clipped pieces of one
+        parabola share the entry)."""
+        key = rec.branch_key
+        cached = self._root_cache.get(key)
         if cached is None:
+            pieces = [b for b in self._bisectors(*rec.pair)
+                      if b.branch_key == key]
+            lo = min(b.t_lo for b in pieces)
+            hi = max(b.t_hi for b in pieces)
             params, ids = self._crossing_params(rec)
-            keep = np.isfinite(params)
-            params, ids = params[keep], ids[keep]
+            keep = (params >= lo) & (params <= hi)  # absent (NaN) roots fail
+            params, ids = params[keep], ids[keep].astype(np.int32)
             order = np.argsort(params, kind="stable")
             cached = (params[order], ids[order])
-            self._root_cache[rec.branch_key] = cached
+            self._root_cache[key] = cached
         return cached
 
     def propagate(self, shock: ActiveShock):
@@ -826,8 +862,7 @@ class Engine:
         rs = np.asarray(rec.radius(ts), dtype=float)
         md = self.eset.min_third_along(pts, rs, gens) - rs
         if md.min() < -1e-9 * scale:
-            self.stats["sweep_truncations"] = \
-                self.stats.get("sweep_truncations", 0) + 1
+            self.stats["sweep_truncations"] += 1
             bad = int(np.argmax(md < -1e-9 * scale))
             lo = s0 if bad == 0 else float(ts[bad - 1])
             hi = float(ts[bad])
@@ -856,26 +891,27 @@ class Engine:
         return end_kind
 
     def _valid_candidates(self) -> list[ShockCandidate]:
-        """Enumerate and validity-filter candidates without building objects
-        for the (vast) invalid majority."""
-        t, x, y, g1, g2, br = _candidate_arrays(self.elements)
-        self.stats["candidates"] = len(t)
-        if len(t) == 0:
-            return []
-        locs = np.column_stack([x, y])
-        # exact validation of the survivors of the sample prefilter
-        surv = np.nonzero(self.eset.maybe_valid(locs, t, g1, g2))[0]
-        ok = np.zeros(len(t), dtype=bool)
-        for lo in range(0, len(surv), 2048):
-            rows = surv[lo:lo + 2048]
-            d = self.eset.open_distances_many(locs[rows])
-            rr = np.arange(len(rows))
-            d[rr, g1[rows]] = _INF
-            d[rr, g2[rows]] = _INF
-            ok[rows] = d.min(axis=1) >= t[rows] - 1e-9
-        self.stats["discarded"] = int((~ok).sum())
-        out = [ShockCandidate(float(t[k]), int(g1[k]), int(g2[k]), int(br[k]))
-               for k in np.nonzero(ok)[0]]
+        """Enumerate and validity-filter candidates one block of element rows
+        at a time, keeping only the valid ones, so the pass's arrays hold
+        about _PAIR_BUDGET pairs or distances at a time, not all pairs."""
+        rows = max(1, _PAIR_BUDGET // len(self.elements))
+        out = []
+        for t, x, y, g1, g2, br in _candidate_blocks(self.elements, rows):
+            self.stats["candidates"] += len(t)
+            locs = np.column_stack([x, y])
+            # exact validation of the survivors of the sample prefilter
+            surv = np.nonzero(self.eset.maybe_valid(locs, t, g1, g2))[0]
+            ok = np.zeros(len(t), dtype=bool)
+            for lo in range(0, len(surv), rows):
+                sel = surv[lo:lo + rows]
+                d = self.eset.open_distances_many(locs[sel])
+                rr = np.arange(len(sel))
+                d[rr, g1[sel]] = _INF
+                d[rr, g2[sel]] = _INF
+                ok[sel] = d.min(axis=1) >= t[sel] - 1e-9
+            out += [ShockCandidate(float(t[k]), int(g1[k]), int(g2[k]),
+                                   int(br[k])) for k in np.nonzero(ok)[0]]
+        self.stats["discarded"] = self.stats["candidates"] - len(out)
         out.sort()
         return out
 

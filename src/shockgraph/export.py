@@ -151,9 +151,7 @@ def parse_sgtext(text: str) -> SgDocument:
 # GraphML
 # ---------------------------------------------------------------------------
 
-def to_graphml(graph: ShockGraph, width: float, height: float,
-               lam: float, bbox_scale: float) -> str:
-    doc = to_document(graph, width, height, lam, bbox_scale)
+def format_graphml(doc: SgDocument) -> str:
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -183,6 +181,11 @@ def to_graphml(graph: ShockGraph, width: float, height: float,
         out.append('    </edge>')
     out += ['  </graph>', '</graphml>']
     return "\n".join(out) + "\n"
+
+
+def to_graphml(graph: ShockGraph, width: float, height: float,
+               lam: float, bbox_scale: float) -> str:
+    return format_graphml(to_document(graph, width, height, lam, bbox_scale))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@ from importlib import resources
 from shockgraph import cli, engine
 from shockgraph.contours import (check_no_crossings, decompose,
                                  simplify_polyline)
-from shockgraph.export import to_sgtext
+from shockgraph.export import to_graphml, to_sgtext
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box, prune
 
 RECTANGLE = str(resources.files("shockgraph.corpus") / "rectangle.scene")
 
 
-def _sgtext_at_defaults(path):
-    """sgtext of the pipeline at the CLI defaults, through library calls."""
+def _graph_at_defaults(path):
+    """(graph, width, height) of the pipeline at the CLI defaults, through
+    library calls."""
     width, height, frags = cli.load_scene(path)
     frags = [simplify_polyline(f, 0.8) for f in frags]
     frags, rect, box_fid = augment_with_box(frags, width, height, 2.0)
@@ -20,13 +21,19 @@ def _sgtext_at_defaults(path):
     graph = build_graph(engine.run(elements, rect), elements,
                         scene=(width, height))
     graph = prune(graph, elements, lam=1.0, box_fragment_id=box_fid)
-    return to_sgtext(graph, width, height, 1.0, 2.0)
+    return graph, width, height
 
 
 def test_corpus_rectangle_writes_pipeline_sgtext(tmp_path):
-    assert cli.main([RECTANGLE, "-o", str(tmp_path)]) == cli.EXIT_OK
-    written = (tmp_path / "rectangle.sg").read_text(encoding="utf-8")
-    assert written == _sgtext_at_defaults(RECTANGLE)
+    """The CLI writes the sgtext and GraphML of the library pipeline (it
+    formats both from one document)."""
+    assert cli.main([RECTANGLE, "-o", str(tmp_path),
+                     "--format", "sgtext,graphml"]) == cli.EXIT_OK
+    graph, width, height = _graph_at_defaults(RECTANGLE)
+    for suffix, to_text in ((".sg", to_sgtext), (".graphml", to_graphml)):
+        written = (tmp_path / ("rectangle" + suffix)).read_text(
+            encoding="utf-8")
+        assert written == to_text(graph, width, height, 1.0, 2.0)
 
 
 def test_garbage_scene_is_a_parse_error(tmp_path):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from shockgraph import engine
-from shockgraph.contours import (POINT, BoundaryElement, check_no_crossings,
-                                 decompose, parse_scene_text)
+from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
+                                 check_no_crossings, decompose,
+                                 parse_scene_text)
 from shockgraph.errors import NonterminationError
 from shockgraph.geometry import Rect
 from shockgraph.graph import build_graph
@@ -29,6 +31,7 @@ class TestEnumeration:
         assert raw.stats["realized"] >= 1
         assert raw.stats["discarded"] >= 0
         assert raw.stats["events"] > 0
+        assert raw.stats["sweep_truncations"] == 0
         assert raw.stats["nodes"] == len(raw.nodes)
         assert raw.stats["links"] == len(raw.links)
 
@@ -184,3 +187,95 @@ def test_proximity_queries_match_full_scan(scene, n_elements):
                 bool((open_d < radius).any())
             found += len(near)
     assert found > 100  # the radii reach elements, not only empty discs
+
+
+def _bare_points(points):
+    return ([BoundaryElement(i, POINT, p, i) for i, p in enumerate(points)],
+            Rect(-10, -10, 10, 10))
+
+
+def _candidate_pass(elements, rect, budget, monkeypatch):
+    monkeypatch.setattr(engine, "_PAIR_BUDGET", budget)
+    eng = engine.Engine(elements, rect)
+    valid = eng._valid_candidates()
+    return valid, eng.stats["candidates"], eng.stats["discarded"]
+
+
+@pytest.mark.parametrize("scene", [
+    pytest.param(_corpus_elements, id="corpus-rectangle"),
+    pytest.param(_hundred_elements, id="hundred"),
+    pytest.param(lambda: _bare_points([(-1.0, 0.0), (1.0, 0.0)]),
+                 id="two-points"),
+    pytest.param(lambda: _bare_points([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0)]),
+                 id="three-points")])
+def test_streamed_candidates_match_one_block(scene, monkeypatch):
+    """The candidate pass gives the same sorted valid list and the same
+    candidates/discarded totals whatever its block size: one block of all
+    rows, the default budget, 7-row blocks (a ragged last block) and 1-row
+    blocks."""
+    elements, rect = scene()
+    n = len(elements)
+    whole = _candidate_pass(elements, rect, n * n, monkeypatch)
+    assert whole[0] and whole[1] == len(whole[0]) + whole[2]
+    for budget in (engine._PAIR_BUDGET, 7 * n, 1):
+        assert _candidate_pass(elements, rect, budget, monkeypatch) == whole
+
+
+def test_root_cache_keeps_the_branch_hull():
+    """A clip box that cuts out a parabola's vertex splits its branch into
+    two pieces with one cache entry.  Whichever piece asks first, the cached
+    roots are the untrimmed finite roots inside the hull of both pieces'
+    domains, in the same order."""
+    others = [(7.0, 3.0), (-8.0, 4.0), (1.0, 9.0), (3.0, 4.5), (-3.0, 5.0),
+              (-6.0, 1.0), (1.5, 0.8)]
+    elements = [BoundaryElement(0, POINT, (0.0, 2.0), 0),
+                BoundaryElement(1, SEGMENT, ((-5.0, 0.0), (5.0, 0.0)), 1)]
+    elements += [BoundaryElement(i, POINT, p, i)
+                 for i, p in enumerate(others, start=2)]
+    clip = Rect(-10.0, 2.0, 10.0, 10.0)  # the vertex (0, 1) lies below it
+    for first in (0, 1):
+        eng = engine.Engine(elements, clip)
+        pieces = eng._bisectors(0, 1)
+        assert len(pieces) == 2
+        assert pieces[0].branch_key == pieces[1].branch_key
+        lo, hi = pieces[0].t_lo, pieces[1].t_hi
+        assert pieces[0].t_hi < pieces[1].t_lo
+        params, ids = eng._crossing_params(pieces[first])
+        finite = np.isfinite(params)
+        order = np.argsort(params[finite], kind="stable")
+        full, full_ids = params[finite][order], ids[finite][order]
+        hull = (full >= lo) & (full <= hi)
+        # roots beyond the hull, in both pieces, and in the gap between
+        assert not hull.all()
+        for a, b in ((lo, pieces[0].t_hi), (pieces[0].t_hi, pieces[1].t_lo),
+                     (pieces[1].t_lo, hi)):
+            assert ((full > a) & (full < b)).any()
+        got, got_ids = eng._crossings(pieces[first])
+        assert got.tolist() == full[hull].tolist()
+        assert got_ids.tolist() == full_ids[hull].tolist()
+        assert eng._crossings(pieces[1 - first]) is \
+            eng._root_cache[pieces[0].branch_key]
+
+
+def test_candidate_pass_memory_slope():
+    """The candidate pass's traced peak memory grows slower than the
+    element-pair count: log-log slope <= 1.5 against the element count, on
+    random scenes at the density of the 100-fragment 160x160 scene (all
+    pairs in memory at once would give a slope near 2)."""
+    counts, peaks = [], []
+    for n_frag in (100, 200, 400):
+        size = 160.0 * math.sqrt(n_frag / 100)
+        frags, _ = random_scene(n_frag, 101, width=size, height=size)
+        frags, rect, _ = augment_with_box(frags, size, size)
+        elements = decompose(frags)
+        eng = engine.Engine(elements, rect)
+        tracemalloc.start()
+        try:
+            eng._valid_candidates()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        counts.append(len(elements))
+    assert counts == [485, 929, 1895]
+    slope = float(np.polyfit(np.log(counts), np.log(peaks), 1)[0])
+    assert slope <= 1.5, f"candidate-pass peak memory slope {slope:.2f}"
