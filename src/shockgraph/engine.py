@@ -13,12 +13,19 @@ Termination search is closed form: along every bisector kind the squared
 deficit dist(p, e)^2 - r^2 to a third element e is a quadratic in the
 bisector's natural parameter t (arc length for the straight kinds, the
 directrix coordinate xi for parabolas), so each element's first simultaneous
-arrival is a quadratic root (see _crossing_params).  The roots are solved
-once per bisector branch and cached, trimmed to the hull of the branch's
-piece domains, outside which propagation reads none.  The engine works in t
-throughout, and raw links record t.  A validity sweep of exact distances at
-interior samples of every traced link catches a missed crossing and
-truncates the link there by bisection.
+arrival is a quadratic root (see _crossing_params).  A branch solves these
+quadratics only against the neighbours of its two generators: elements with
+samples on a common face of the Delaunay subdivision of the element samples
+(the sampled-Voronoi neighbourhood of the medial axis), which serves only
+as a filter.  Scenes smaller than _NEIGHBOUR_MIN_ELEMENTS, and sample sets
+Qhull cannot triangulate, solve against every element.  The roots are
+solved once per bisector branch and cached, trimmed to the hull of the
+branch's piece domains, outside which propagation reads none.  The engine
+works in t throughout, and raw links record t.  A validity sweep of exact
+distances to every element at interior samples of every traced link
+catches a missed crossing, whether the filter dropped its element or not,
+and truncates the link there by bisection; stats["sweep_truncations"]
+counts those.
 """
 from __future__ import annotations
 
@@ -28,7 +35,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.sparse import coo_matrix
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .bisectors import (Bisector, MidlineBisector, ParabolaBisector,
                         PointPointBisector, _LineLike, _segment_pair_branches,
@@ -44,6 +52,12 @@ _INF = math.inf
 # Vectorized distances over the element set
 # ---------------------------------------------------------------------------
 
+# Element sets smaller than this build no neighbour table, and every branch
+# solves its crossings against all elements: below it, building the table
+# and gathering each branch's rows cost more than the rows they save.
+_NEIGHBOUR_MIN_ELEMENTS = 300
+
+
 class ElementSet:
     """Array view of the boundary elements with open-segment distances.
 
@@ -54,9 +68,18 @@ class ElementSet:
     Proximity queries go through a kd-tree over sample points spaced at most
     SAMPLE_STEP apart, so any point of an element lies within SAMPLE_STEP/2 of
     a sample; the candidates it returns are then tested exactly.
+
+    Sets of at least _NEIGHBOUR_MIN_ELEMENTS elements also build a neighbour
+    table once, from a Delaunay triangulation of samples TRI_STEP apart (see
+    _neighbour_table); crossing_rows gives a branch the neighbours of its
+    generators, or every element when there is no table.
     """
 
     SAMPLE_STEP = 0.5
+    # sample spacing of the Delaunay triangulation behind the neighbour
+    # table: coarser than the kd-tree's, because Qhull is slow on the long
+    # collinear runs of box-side samples
+    TRI_STEP = 2.0
 
     def __init__(self, elements: list[BoundaryElement]):
         self.elements = elements
@@ -102,14 +125,106 @@ class ElementSet:
         self._rows = list(zip(self._kind.tolist(), self._ax.tolist(),
                               self._ay.tolist(), self._dx.tolist(),
                               self._dy.tolist(), self._L.tolist()))
+        # (5, n) id-indexed float columns ax, ay, dx, dy, L, gathered in one
+        # call per element kind for a branch's crossing rows
+        self._cols = np.stack([self._ax, self._ay, self._dx, self._dy,
+                               self._L])
+        xy, self._sample_eid = self._samples(self.SAMPLE_STEP)
+        self._tree = cKDTree(xy)
+        self._nbr = None
+        if self.n >= _NEIGHBOUR_MIN_ELEMENTS:
+            self._nbr = self._neighbour_table(*self._samples(self.TRI_STEP))
+        self._all_rows = (self.pt_ids, self._cols[:, self.pt_ids],
+                          self.sg_ids, self._cols[:, self.sg_ids])
+
+    def _samples(self, step):
+        """Sample points (m, 2) and their element ids (m,): every point
+        element, and every segment at spacing at most step, ends included."""
         xs, eids = [self.pt_xy], [self.pt_ids]
         for k in range(self.sg_a.shape[0]):
-            m = max(2, int(math.ceil(self.sg_L[k] / self.SAMPLE_STEP)) + 1)
+            m = max(2, int(math.ceil(self.sg_L[k] / step)) + 1)
             t = np.linspace(0.0, self.sg_L[k], m)
             xs.append(self.sg_a[k] + t[:, None] * self.sg_d[k])
             eids.append(np.full(m, self.sg_ids[k], dtype=int))
-        self._sample_eid = np.concatenate(eids)
-        self._tree = cKDTree(np.vstack(xs))
+        return np.vstack(xs), np.concatenate(eids)
+
+    def _neighbour_table(self, xy, eid):
+        """Element neighbours as id-indexed CSR arrays (ptr, ids): a and b
+        are neighbours when samples of a and b lie on one face of the
+        Delaunay subdivision of the samples xy, that is, on one empty circle.
+        None when Qhull cannot triangulate them (fewer than 3 non-collinear
+        samples).
+
+        Qhull splits a face of four or more co-circular samples (a regular
+        polygon's vertices) into triangles arbitrarily, so adjacent triangles
+        with one circumcentre are merged back into their face.  Qhull also
+        leaves near-duplicate samples (a segment's end sample on its endpoint
+        element, say) out of the triangulation and reports each with its
+        nearest vertex in tri.coplanar; such a sample's element takes the
+        place of that vertex, or no face would reach it."""
+        try:
+            tri = Delaunay(xy)
+        except QhullError:
+            return None
+        s = tri.simplices
+        p = xy[s]
+        b, c = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+        den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a flat triangle's centre is not finite and merges with none
+            u = np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
+                                 b[:, 0] * cc - c[:, 0] * bb]) / den[:, None]
+        centre = p[:, 0] + u
+        # triangles i, j across a shared edge with one circumcentre
+        i = np.repeat(np.arange(len(s)), 3)
+        j = tri.neighbors.ravel()
+        i, j = i[j >= 0], j[j >= 0]
+        with np.errstate(invalid="ignore"):
+            same = np.hypot(*(centre[i] - centre[j]).T) \
+                <= 1e-9 * np.hypot(u[i, 0], u[i, 1])
+        i, j = i[same], j[same]
+        # label each face by its smallest triangle index: spread the lower
+        # label across merged edges, then jump labels to their own labels
+        face = np.arange(len(s))
+        while True:
+            low = face.copy()
+            np.minimum.at(low, i, face[j])
+            np.minimum.at(low, j, face[i])
+            low = low[low]
+            if (low == face).all():
+                break
+            face = low
+        nv = len(xy)
+        on_face = coo_matrix((np.ones(s.size),
+                              (np.repeat(face, 3), s.ravel())),
+                             shape=(len(s), nv)).tocsr()
+        # element-by-sample incidence, coplanar samples on their vertex
+        cop = tri.coplanar
+        at = coo_matrix((np.ones(nv + len(cop)),
+                         (np.concatenate([eid, eid[cop[:, 0]]]),
+                          np.concatenate([np.arange(nv), cop[:, 2]]))),
+                        shape=(self.n, nv)).tocsr()
+        elem_face = at @ on_face.T
+        pairs = (elem_face @ elem_face.T).tocoo()
+        off = pairs.row != pairs.col
+        row, col = pairs.row[off], pairs.col[off]
+        order = np.lexsort((col, row))
+        ptr = np.searchsorted(row[order], np.arange(self.n + 1))
+        return ptr, col[order]
+
+    def crossing_rows(self, g1: int, g2: int):
+        """The elements a branch of generators g1, g2 solves crossings
+        against, as (point ids, their (5, k) columns, segment ids, their
+        columns), ids ascending: the neighbours of g1 and of g2, or every
+        element when the set has no neighbour table."""
+        if self._nbr is None:
+            return self._all_rows
+        ptr, nb = self._nbr
+        ids = np.union1d(nb[ptr[g1]:ptr[g1 + 1]], nb[ptr[g2]:ptr[g2 + 1]])
+        seg = self._kind[ids] == 1
+        pid, sid = ids[~seg], ids[seg]
+        return pid, self._cols[:, pid], sid, self._cols[:, sid]
 
     def open_dist_one(self, eid: int, q) -> float:
         """Exact open distance from q to element eid."""
@@ -523,7 +638,8 @@ class Engine:
         self._active: list = []
         self._seq = itertools.count()
         self.stats = {"elements": n, "candidates": 0, "discarded": 0,
-                      "realized": 0, "events": 0, "sweep_truncations": 0}
+                      "realized": 0, "events": 0, "sweep_truncations": 0,
+                      "crossing_rows": 0}
 
     # -- nodes -------------------------------------------------------------
     def _node_at(self, loc, radius, gen_ids):
@@ -629,20 +745,20 @@ class Engine:
 
     # -- analytic crossings --------------------------------------------------
     def _crossing_params(self, rec: Bisector):
-        """All (natural-parameter, element-id) wavefront crossings of rec.
+        """All (natural-parameter, element-id) wavefront crossings of rec
+        with the elements of ElementSet.crossing_rows for its generators.
 
         Returns (params, ids) arrays in the bisector's natural parameter
         (arc length for line-likes, directrix coordinate xi for parabolas),
         with open-segment foot windows already enforced; absent roots are
         NaN. Every quadratic of one bisector goes through one _quad_roots
-        call.
+        call.  stats["crossing_rows"] counts the element rows solved.
         """
-        es = self.eset
-        pid, sid = es.pt_ids, es.sg_ids
-        px, py = es.pt_xy[:, 0], es.pt_xy[:, 1]
-        ax, ay = es.sg_a[:, 0], es.sg_a[:, 1]
-        dx, dy, L = es.sg_d[:, 0], es.sg_d[:, 1], es.sg_L
+        pid, pcol, sid, scol = self.eset.crossing_rows(*rec.pair)
+        px, py = pcol[0], pcol[1]
+        ax, ay, dx, dy, L = scol
         npt, nsg = len(pid), len(sid)
+        self.stats["crossing_rows"] += npt + nsg
         if isinstance(rec, _LineLike):
             o, w = rec.origin, rec.direction
             if isinstance(rec, PointPointBisector):
@@ -737,7 +853,13 @@ class Engine:
         re-propagation.  propagate reads only roots inside the domain of the
         piece it traces, so the cache keeps the finite roots inside the hull
         of the domains of all pieces of the branch (box-clipped pieces of one
-        parabola share the entry)."""
+        parabola share the entry).
+
+        Only the generators' neighbours are solved (see _crossing_params).
+        Dropping elements can only remove roots, so the first counted
+        crossing is unchanged whenever the element that ends the link is a
+        neighbour; when it is not, the validity sweep in propagate finds the
+        missed crossing."""
         key = rec.branch_key
         cached = self._root_cache.get(key)
         if cached is None:

@@ -13,7 +13,8 @@ from shockgraph.errors import NonterminationError
 from shockgraph.geometry import Rect
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box
-from shockgraph.scenes import LCG, rectangle_fragment, random_scene
+from shockgraph.scenes import (LCG, random_scene, rectangle_fragment,
+                               regular_polygon_fragment)
 
 
 def _rectangle_setup():
@@ -142,18 +143,25 @@ def _scan_distances(elements, q):
     return open_d, closed_d
 
 
-def _corpus_elements():
+def _corpus_scene(name):
     text = resources.files("shockgraph.corpus").joinpath(
-        "rectangle.scene").read_text()
+        name + ".scene").read_text()
     width, height, frags = parse_scene_text(text)
-    frags, rect, _ = augment_with_box(frags, width, height)
+    return _boxed(frags, width, height)
+
+
+def _boxed(frags, width, height):
+    frags, rect, _ = augment_with_box(list(frags), width, height)
     return decompose(frags), rect
+
+
+def _corpus_elements():
+    return _corpus_scene("rectangle")
 
 
 def _hundred_elements():
-    frags, _ = random_scene(100, 101, width=160.0, height=160.0)
-    frags, rect, _ = augment_with_box(frags, 160, 160)
-    return decompose(frags), rect
+    return _boxed(random_scene(100, 101, width=160.0, height=160.0)[0],
+                  160, 160)
 
 
 @pytest.mark.parametrize("scene, n_elements", [
@@ -279,3 +287,89 @@ def test_candidate_pass_memory_slope():
     assert counts == [485, 929, 1895]
     slope = float(np.polyfit(np.log(counts), np.log(peaks), 1)[0])
     assert slope <= 1.5, f"candidate-pass peak memory slope {slope:.2f}"
+
+
+def _raw_dump(raw):
+    """Every node and link field of a raw graph, and its stats but the
+    crossing_rows counter, as plain values."""
+    nodes = [(n.id, n.location, n.radius, sorted(n.gen_ids),
+              sorted(n.discovered)) for n in raw.nodes]
+    links = [(ln.id, type(ln.bisector).__name__, ln.bisector.pair,
+              ln.bisector.branch_key, ln.t_from, ln.t_to, ln.node_from,
+              ln.node_to, ln.end_kind) for ln in raw.links]
+    stats = {k: v for k, v in raw.stats.items() if k != "crossing_rows"}
+    return nodes, links, stats
+
+
+_FILTER_SCENES = (
+    [pytest.param(lambda n=n: _corpus_scene(n), id=f"corpus-{n}")
+     for n in ("pair", "rectangle", "square", "triple")]
+    + [pytest.param(lambda s=s: _boxed(random_scene(6, s)[0], 100, 100),
+                    id=f"random6-{s}") for s in range(20)]
+    + [pytest.param(lambda k=k: _boxed([regular_polygon_fragment(k)], 10, 10),
+                    id=f"{k}-gon") for k in (3, 5, 6, 8, 64)]
+    + [pytest.param(lambda: _boxed(random_scene(15, 9)[0], 100, 100),
+                    id="determinism"),
+       pytest.param(lambda: _bare_points([(-1.0, 0.0), (1.0, 0.0)]),
+                    id="two-points"),
+       pytest.param(lambda: _bare_points([(0.0, 0.0), (4.0, 0.0),
+                                          (2.0, 3.0)]),
+                    id="three-points")])
+
+
+@pytest.mark.parametrize("scene", _FILTER_SCENES)
+def test_neighbour_filter_matches_all_elements(scene, monkeypatch):
+    """Solving each branch's crossings only against its generators'
+    neighbours gives the raw graph that solving against every element
+    gives, field for field, with no sweep truncation.  The table is forced
+    on at every scene size; two bare points cannot be triangulated, so that
+    scene takes the all-elements path either way."""
+    elements, rect = scene()
+    runs = {}
+    for cutoff in (0, math.inf):
+        monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", cutoff)
+        eng = engine.Engine(elements, rect)
+        runs[cutoff] = (eng.run(), eng.eset._nbr is not None)
+    (filtered, table), (whole, no_table) = runs[0], runs[math.inf]
+    assert table == (len(elements) > 2) and not no_table
+    assert _raw_dump(filtered) == _raw_dump(whole)
+    assert filtered.stats["sweep_truncations"] == 0
+    assert 0 < filtered.stats["crossing_rows"] <= whole.stats["crossing_rows"]
+
+
+def test_neighbour_table_reaches_coplanar_samples():
+    """Qhull leaves samples that nearly coincide with another sample out of
+    the triangulation.  In this scene point element 405 lies 2.2e-16 from a
+    segment's end sample, so only the coplanar remap gives it neighbours;
+    every element must have at least one."""
+    elements, _ = _boxed(random_scene(200, 7, width=160.0,
+                                      height=160.0)[0], 160, 160)
+    eset = engine.ElementSet(elements)
+    ptr, ids = eset._nbr
+    counts = np.diff(ptr)
+    assert len(counts) == len(elements) == 958
+    assert counts[405] > 0
+    assert counts.min() > 0
+    # the table is symmetric and holds no self-pairs
+    pairs = set(zip(np.repeat(np.arange(len(elements)), counts).tolist(),
+                    ids.tolist()))
+    assert all((b, a) in pairs and a != b for a, b in pairs)
+
+
+def test_root_cache_slope():
+    """The crossing roots the engine caches grow about linearly with the
+    element count at a fixed scene density: log-log slope <= 1.3 on random
+    scenes at the density of the 100-fragment 160x160 scene (solving every
+    branch against every element gives a slope near 2)."""
+    counts, roots = [], []
+    for n_frag in (100, 200, 400):
+        size = 160.0 * math.sqrt(n_frag / 100)
+        elements, rect = _boxed(random_scene(n_frag, 101, width=size,
+                                             height=size)[0], size, size)
+        eng = engine.Engine(elements, rect)
+        eng.run()
+        counts.append(len(elements))
+        roots.append(sum(len(p) for p, _ in eng._root_cache.values()))
+    assert counts == [485, 929, 1895]
+    slope = float(np.polyfit(np.log(counts), np.log(roots), 1)[0])
+    assert slope <= 1.3, f"cached crossing roots slope {slope:.2f}: {roots}"
