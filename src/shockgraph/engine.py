@@ -103,13 +103,12 @@ class ElementSet:
         self.sg_a = np.array(sa, dtype=float).reshape(-1, 2)
         self.sg_d = np.array(sd, dtype=float).reshape(-1, 2)
         self.sg_L = np.array(sl, dtype=float)
-        # id-indexed scalar views for single-element distance evaluation
+        # id-indexed scalar views for single-element distance evaluation, the
+        # rows of one (5, n) array, so a branch's crossing rows gather in one
+        # call per element kind
         self._kind = np.zeros(self.n, dtype=np.int8)
-        self._ax = np.zeros(self.n)
-        self._ay = np.zeros(self.n)
-        self._dx = np.zeros(self.n)
-        self._dy = np.zeros(self.n)
-        self._L = np.zeros(self.n)
+        self._cols = np.zeros((5, self.n))
+        self._ax, self._ay, self._dx, self._dy, self._L = self._cols
         if len(pt_ids):
             self._ax[self.pt_ids] = self.pt_xy[:, 0]
             self._ay[self.pt_ids] = self.pt_xy[:, 1]
@@ -125,10 +124,6 @@ class ElementSet:
         self._rows = list(zip(self._kind.tolist(), self._ax.tolist(),
                               self._ay.tolist(), self._dx.tolist(),
                               self._dy.tolist(), self._L.tolist()))
-        # (5, n) id-indexed float columns ax, ay, dx, dy, L, gathered in one
-        # call per element kind for a branch's crossing rows
-        self._cols = np.stack([self._ax, self._ay, self._dx, self._dy,
-                               self._L])
         xy, self._sample_eid = self._samples(self.SAMPLE_STEP)
         self._tree = cKDTree(xy)
         self._nbr = None
