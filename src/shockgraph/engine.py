@@ -17,10 +17,12 @@ arrival is a quadratic root (see _crossing_params).  A branch solves these
 quadratics only against the neighbours of its two generators: elements with
 samples on a common face of the Delaunay subdivision of the element samples
 (the sampled-Voronoi neighbourhood of the medial axis), which serves only
-as a filter.  Scenes smaller than _NEIGHBOUR_MIN_ELEMENTS, and sample sets
-Qhull cannot triangulate, solve against every element.  The roots are
-solved once per bisector branch and cached, trimmed to the hull of the
-branch's piece domains, outside which propagation reads none.  The engine
+as a filter.  Elements touching a shock's start that those rows leave out
+are solved for that start as well, because the contact transition test at
+the start reads their roots.  Scenes smaller than _NEIGHBOUR_MIN_ELEMENTS,
+and sample sets Qhull cannot triangulate, solve against every element.
+The roots are solved once per bisector branch and cached, trimmed to the
+hull of the branch's piece domains, outside which propagation reads none.  The engine
 works in t throughout, and raw links record t.  A validity sweep of exact
 distances to every element at interior samples of every traced link
 catches a missed crossing, whether the filter dropped its element or not,
@@ -54,8 +56,11 @@ _INF = math.inf
 
 # Element sets smaller than this build no neighbour table, and every branch
 # solves its crossings against all elements: below it, building the table
-# and gathering each branch's rows cost more than the rows they save.
-_NEIGHBOUR_MIN_ELEMENTS = 300
+# and gathering each branch's rows cost about what the dropped rows save
+# (traced masks of 46-164 elements ran 2-4% slower with the table), and
+# above it the table is faster.  It is the measured crossover of engine.run
+# on random scenes of 100-400 elements.
+_NEIGHBOUR_MIN_ELEMENTS = 250
 
 
 class ElementSet:
@@ -144,7 +149,7 @@ class ElementSet:
         return np.vstack(xs), np.concatenate(eids)
 
     def _neighbour_table(self, xy, eid):
-        """Element neighbours as id-indexed CSR arrays (ptr, ids): a and b
+        """Element neighbours as one id set per element id: a and b
         are neighbours when samples of a and b lie on one face of the
         Delaunay subdivision of the samples xy, that is, on one empty circle.
         None when Qhull cannot triangulate them (fewer than 3 non-collinear
@@ -203,10 +208,10 @@ class ElementSet:
         elem_face = at @ on_face.T
         pairs = (elem_face @ elem_face.T).tocoo()
         off = pairs.row != pairs.col
-        row, col = pairs.row[off], pairs.col[off]
-        order = np.lexsort((col, row))
-        ptr = np.searchsorted(row[order], np.arange(self.n + 1))
-        return ptr, col[order]
+        nbr = [set() for _ in range(self.n)]
+        for a, b in zip(pairs.row[off].tolist(), pairs.col[off].tolist()):
+            nbr[a].add(b)
+        return nbr
 
     def crossing_rows(self, g1: int, g2: int):
         """The elements a branch of generators g1, g2 solves crossings
@@ -215,11 +220,22 @@ class ElementSet:
         element when the set has no neighbour table."""
         if self._nbr is None:
             return self._all_rows
-        ptr, nb = self._nbr
-        ids = np.union1d(nb[ptr[g1]:ptr[g1 + 1]], nb[ptr[g2]:ptr[g2 + 1]])
+        return self.rows_of(sorted(self._nbr[g1] | self._nbr[g2]))
+
+    def rows_of(self, ids):
+        """The crossing rows (see crossing_rows) of the ascending ids."""
+        ids = np.asarray(ids, dtype=int)
         seg = self._kind[ids] == 1
         pid, sid = ids[~seg], ids[seg]
         return pid, self._cols[:, pid], sid, self._cols[:, sid]
+
+    def outside_rows(self, g1: int, g2: int, eids) -> list:
+        """The ids of eids (ascending) that crossing_rows(g1, g2) leaves
+        out."""
+        if self._nbr is None:
+            return []
+        n1, n2 = self._nbr[g1], self._nbr[g2]
+        return [e for e in eids if e not in n1 and e not in n2]
 
     def open_dist_one(self, eid: int, q) -> float:
         """Exact open distance from q to element eid."""
@@ -634,7 +650,7 @@ class Engine:
         self._seq = itertools.count()
         self.stats = {"elements": n, "candidates": 0, "discarded": 0,
                       "realized": 0, "events": 0, "sweep_truncations": 0,
-                      "crossing_rows": 0}
+                      "crossing_rows": 0, "touch_rows": 0}
 
     # -- nodes -------------------------------------------------------------
     def _node_at(self, loc, radius, gen_ids):
@@ -739,21 +755,23 @@ class Engine:
                     self._spawn(rec, s_n, direction, node_id, node.radius)
 
     # -- analytic crossings --------------------------------------------------
-    def _crossing_params(self, rec: Bisector):
+    def _crossing_params(self, rec: Bisector, rows=None):
         """All (natural-parameter, element-id) wavefront crossings of rec
-        with the elements of ElementSet.crossing_rows for its generators.
+        with the elements of rows (ElementSet.crossing_rows layout), by
+        default the crossing rows of its generators.
 
         Returns (params, ids) arrays in the bisector's natural parameter
         (arc length for line-likes, directrix coordinate xi for parabolas),
         with open-segment foot windows already enforced; absent roots are
         NaN. Every quadratic of one bisector goes through one _quad_roots
-        call.  stats["crossing_rows"] counts the element rows solved.
+        call.
         """
-        pid, pcol, sid, scol = self.eset.crossing_rows(*rec.pair)
+        if rows is None:
+            rows = self.eset.crossing_rows(*rec.pair)
+        pid, pcol, sid, scol = rows
         px, py = pcol[0], pcol[1]
         ax, ay, dx, dy, L = scol
         npt, nsg = len(pid), len(sid)
-        self.stats["crossing_rows"] += npt + nsg
         if isinstance(rec, _LineLike):
             o, w = rec.origin, rec.direction
             if isinstance(rec, PointPointBisector):
@@ -853,8 +871,10 @@ class Engine:
         Only the generators' neighbours are solved (see _crossing_params).
         Dropping elements can only remove roots, so the first counted
         crossing is unchanged whenever the element that ends the link is a
-        neighbour; when it is not, the validity sweep in propagate finds the
-        missed crossing."""
+        neighbour.  propagate adds, uncached, the roots of the elements
+        touching its start that the rows leave out, which its contact
+        transition test needs; any other missed crossing is found by its
+        validity sweep."""
         key = rec.branch_key
         cached = self._root_cache.get(key)
         if cached is None:
@@ -862,7 +882,9 @@ class Engine:
                       if b.branch_key == key]
             lo = min(b.t_lo for b in pieces)
             hi = max(b.t_hi for b in pieces)
-            params, ids = self._crossing_params(rec)
+            rows = self.eset.crossing_rows(*rec.pair)
+            self.stats["crossing_rows"] += len(rows[0]) + len(rows[2])
+            params, ids = self._crossing_params(rec, rows)
             keep = (params >= lo) & (params <= hi)  # absent (NaN) roots fail
             params, ids = params[keep], ids[keep].astype(np.int32)
             order = np.argsort(params, kind="stable")
@@ -913,6 +935,19 @@ class Engine:
         # analytic third-wave crossings strictly between the probe and the
         # cap that count as events, in travel order
         params, ids = self._crossings(rec)
+        extra = self.eset.outside_rows(*gens, touch)
+        if extra:
+            # the contact transition below needs the roots of every touching
+            # element, and the neighbour rows can leave some out (an element
+            # on the parent junction's empty circle whose samples share no
+            # face with the generators'): solve those here, uncached
+            self.stats["touch_rows"] += len(extra)
+            xp, xi = self._crossing_params(rec, self.eset.rows_of(extra))
+            live = ~np.isnan(xp)
+            params = np.concatenate([params, xp[live]])
+            ids = np.concatenate([ids, xi[live].astype(np.int32)])
+            order = np.argsort(params, kind="stable")
+            params, ids = params[order], ids[order]
         if direction > 0:
             ahead = range(params.searchsorted(s_probe, "right"),
                           params.searchsorted(s_lim, "left"))

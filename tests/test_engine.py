@@ -8,13 +8,16 @@ import pytest
 from shockgraph import engine
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
                                  check_no_crossings, decompose,
-                                 parse_scene_text)
+                                 parse_scene_text, simplify_polyline,
+                                 trace_binary_mask)
 from shockgraph.errors import NonterminationError
 from shockgraph.geometry import Rect
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box
 from shockgraph.scenes import (LCG, random_scene, rectangle_fragment,
                                regular_polygon_fragment)
+
+from perfbench.workloads import MASK_SHAPES, _ring
 
 
 def _rectangle_setup():
@@ -155,6 +158,22 @@ def _boxed(frags, width, height):
     return decompose(frags), rect
 
 
+def _mask_scene(mask, epsilon=0.8):
+    """A traced binary mask as the CLI builds it by default: contours
+    simplified at epsilon (none at 0), boxed at scale 2."""
+    h, w = mask.shape
+    frags = trace_binary_mask(mask)
+    if epsilon > 0:
+        frags = [simplify_polyline(f, epsilon) for f in frags]
+    return _boxed(frags, float(w), float(h))
+
+
+def _masks_workload_mask(name):
+    """The named mask of the masks benchmark workload at seed 1."""
+    rng = LCG(1)
+    return dict((n, build(rng)) for n, build in MASK_SHAPES)[name]
+
+
 def _corpus_elements():
     return _corpus_scene("rectangle")
 
@@ -291,13 +310,14 @@ def test_candidate_pass_memory_slope():
 
 def _raw_dump(raw):
     """Every node and link field of a raw graph, and its stats but the
-    crossing_rows counter, as plain values."""
+    crossing_rows and touch_rows counters, as plain values."""
     nodes = [(n.id, n.location, n.radius, sorted(n.gen_ids),
               sorted(n.discovered)) for n in raw.nodes]
     links = [(ln.id, type(ln.bisector).__name__, ln.bisector.pair,
               ln.bisector.branch_key, ln.t_from, ln.t_to, ln.node_from,
               ln.node_to, ln.end_kind) for ln in raw.links]
-    stats = {k: v for k, v in raw.stats.items() if k != "crossing_rows"}
+    stats = {k: v for k, v in raw.stats.items()
+             if k not in ("crossing_rows", "touch_rows")}
     return nodes, links, stats
 
 
@@ -314,7 +334,9 @@ _FILTER_SCENES = (
                     id="two-points"),
        pytest.param(lambda: _bare_points([(0.0, 0.0), (4.0, 0.0),
                                           (2.0, 3.0)]),
-                    id="three-points")])
+                    id="three-points")]
+    + [pytest.param(lambda n=n: _mask_scene(_masks_workload_mask(n)),
+                    id=f"mask-{n}") for n, _ in MASK_SHAPES])
 
 
 @pytest.mark.parametrize("scene", _FILTER_SCENES)
@@ -337,6 +359,38 @@ def test_neighbour_filter_matches_all_elements(scene, monkeypatch):
     assert 0 < filtered.stats["crossing_rows"] <= whole.stats["crossing_rows"]
 
 
+def test_touching_elements_outside_the_neighbour_rows(monkeypatch):
+    """In the unsimplified trace of the ellipse mask, pixel-grid samples on
+    one empty circle leave some elements touching a propagation start out
+    of the neighbour rows of its generators.  Their roots are solved for
+    the start (stats["touch_rows"]), and the raw graph equals the one
+    solved against every element."""
+    elements, rect = _mask_scene(_masks_workload_mask("ellipse"), 0.0)
+    runs = {}
+    for cutoff in (0, math.inf):
+        monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", cutoff)
+        runs[cutoff] = engine.run(elements, rect)
+    assert runs[0].stats["touch_rows"] > 0
+    assert runs[math.inf].stats["touch_rows"] == 0
+    assert _raw_dump(runs[0]) == _raw_dump(runs[math.inf])
+    assert runs[0].stats["sweep_truncations"] == 0
+
+
+def test_large_mask_takes_the_filtered_path(monkeypatch):
+    """A traced ring mask at twice the benchmark's size is large enough to
+    build the neighbour table at the default cut-off, and gives the raw
+    graph that solving against every element gives."""
+    elements, rect = _mask_scene(_ring(LCG(1), 128, 56.0, 40.0))
+    assert len(elements) == 312 >= engine._NEIGHBOUR_MIN_ELEMENTS
+    eng = engine.Engine(elements, rect)
+    assert eng.eset._nbr is not None
+    filtered = eng.run()
+    monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", math.inf)
+    whole = engine.run(elements, rect)
+    assert _raw_dump(filtered) == _raw_dump(whole)
+    assert filtered.stats["sweep_truncations"] == 0
+
+
 def test_neighbour_table_reaches_coplanar_samples():
     """Qhull leaves samples that nearly coincide with another sample out of
     the triangulation.  In this scene point element 405 lies 2.2e-16 from a
@@ -344,16 +398,13 @@ def test_neighbour_table_reaches_coplanar_samples():
     every element must have at least one."""
     elements, _ = _boxed(random_scene(200, 7, width=160.0,
                                       height=160.0)[0], 160, 160)
-    eset = engine.ElementSet(elements)
-    ptr, ids = eset._nbr
-    counts = np.diff(ptr)
-    assert len(counts) == len(elements) == 958
-    assert counts[405] > 0
-    assert counts.min() > 0
+    nbr = engine.ElementSet(elements)._nbr
+    assert len(nbr) == len(elements) == 958
+    assert nbr[405]
+    assert all(nbr)
     # the table is symmetric and holds no self-pairs
-    pairs = set(zip(np.repeat(np.arange(len(elements)), counts).tolist(),
-                    ids.tolist()))
-    assert all((b, a) in pairs and a != b for a, b in pairs)
+    assert all(a in nbr[b] and a != b
+               for a in range(len(nbr)) for b in nbr[a])
 
 
 def test_root_cache_slope():
