@@ -646,13 +646,17 @@ class Engine:
         self._node_cells: dict[tuple, int] = {}
         self._bisector_cache: dict[tuple, list] = {}
         self._root_cache: dict[tuple, tuple] = {}
+        # branches whose cached roots cover every element although the set
+        # has a neighbour table (see propagate)
+        self._full_roots: set = set()
+        self._table = self.eset._nbr is not None
         self._claimed: dict[tuple, list] = {}
         self._spawned: set = set()
         self._active: list = []
         self._seq = itertools.count()
         self.stats = {"elements": n, "candidates": 0, "discarded": 0,
                       "realized": 0, "events": 0, "sweep_truncations": 0,
-                      "crossing_rows": 0, "touch_rows": 0}
+                      "crossing_rows": 0, "touch_rows": 0, "full_solves": 0}
 
     # -- nodes -------------------------------------------------------------
     def _node_at(self, loc, radius, gen_ids):
@@ -861,7 +865,7 @@ class Engine:
             return np.empty(0), np.empty(0, dtype=int)
         return np.concatenate(params), np.concatenate(ids)
 
-    def _crossings(self, rec: Bisector):
+    def _crossings(self, rec: Bisector, full: bool = False):
         """Crossings of rec that propagation can read, sorted by parameter,
         as (params, ids) arrays.  The root set depends only on the branch's
         geometry, so it is solved once per branch and cached for
@@ -875,16 +879,21 @@ class Engine:
         crossing is unchanged whenever the element that ends the link is a
         neighbour.  propagate adds, uncached, the roots of the elements
         touching its start that the rows leave out, which its contact
-        transition test needs; any other missed crossing is found by its
-        validity sweep."""
+        transition test needs, and re-solves the branch against every
+        element (full=True, which replaces the entry) when its link shows a
+        missed crossing."""
         key = rec.branch_key
         cached = self._root_cache.get(key)
-        if cached is None:
+        if cached is None or full:
             pieces = [b for b in self._bisectors(*rec.pair)
                       if b.branch_key == key]
             lo = min(b.t_lo for b in pieces)
             hi = max(b.t_hi for b in pieces)
-            rows = self.eset.crossing_rows(*rec.pair)
+            if full:
+                rows = self.eset._all_rows
+                self._full_roots.add(key)
+            else:
+                rows = self.eset.crossing_rows(*rec.pair)
             self.stats["crossing_rows"] += len(rows[0]) + len(rows[2])
             params, ids = self._crossing_params(rec, rows)
             keep = (params >= lo) & (params <= hi)  # absent (NaN) roots fail
@@ -937,7 +946,8 @@ class Engine:
         # analytic third-wave crossings strictly between the probe and the
         # cap that count as events, in travel order
         params, ids = self._crossings(rec)
-        extra = self.eset.outside_rows(*gens, touch)
+        filtered = self._table and rec.branch_key not in self._full_roots
+        extra = self.eset.outside_rows(*gens, touch) if filtered else []
         if extra:
             # the contact transition below needs the roots of every touching
             # element, and the neighbour rows can leave some out (an element
@@ -1010,11 +1020,25 @@ class Engine:
             end_kind = "junction"
 
         # validity sweep: exact deficit at interior samples; a violation means
-        # a crossing was missed, so truncate there by bisection
+        # a crossing was missed, so truncate there by bisection.  A link
+        # traced with neighbour rows is checked at its end too: a crossing
+        # the rows missed past the last interior sample leaves an element
+        # strictly inside the front there.
         ts = s0 + _SWEEP_FRAC * (s_end - s0)
+        if filtered:
+            ts = np.append(ts, s_end)
         pts = rec.point(ts)
         rs = np.asarray(rec.radius(ts), dtype=float)
         md = self.eset.min_third_along(pts, rs, gens) - rs
+        if filtered and (md.min() < -1e-9 * scale
+                         or self.eset.outside_rows(*gens, crossing)):
+            # the rows missed a crossing, or an element outside them reaches
+            # the end node (its root may come first by a rounding step):
+            # solve the branch against every element, as without a table,
+            # and trace it again
+            self.stats["full_solves"] += 1
+            self._crossings(rec, full=True)
+            return self.propagate(shock)
         if md.min() < -1e-9 * scale:
             self.stats["sweep_truncations"] += 1
             bad = int(np.argmax(md < -1e-9 * scale))

@@ -17,7 +17,7 @@ from shockgraph.regularize import augment_with_box
 from shockgraph.scenes import (LCG, random_scene, rectangle_fragment,
                                regular_polygon_fragment)
 
-from perfbench.workloads import MASK_SHAPES, _ring
+from perfbench.workloads import MASK_SHAPES
 
 
 def _rectangle_setup():
@@ -168,9 +168,9 @@ def _mask_scene(mask, epsilon=0.8):
     return _boxed(frags, float(w), float(h))
 
 
-def _masks_workload_mask(name):
-    """The named mask of the masks benchmark workload at seed 1."""
-    rng = LCG(1)
+def _masks_workload_mask(name, seed=1):
+    """The named mask of the masks benchmark workload at seed."""
+    rng = LCG(seed)
     return dict((n, build(rng)) for n, build in MASK_SHAPES)[name]
 
 
@@ -310,14 +310,14 @@ def test_candidate_pass_memory_slope():
 
 def _raw_dump(raw):
     """Every node and link field of a raw graph, and its stats but the
-    crossing_rows and touch_rows counters, as plain values."""
+    crossing_rows, touch_rows and full_solves counters, as plain values."""
     nodes = [(n.id, n.location, n.radius, sorted(n.gen_ids),
               sorted(n.discovered)) for n in raw.nodes]
     links = [(ln.id, type(ln.bisector).__name__, ln.bisector.pair,
               ln.bisector.branch_key, ln.t_from, ln.t_to, ln.node_from,
               ln.node_to, ln.end_kind) for ln in raw.links]
     stats = {k: v for k, v in raw.stats.items()
-             if k not in ("crossing_rows", "touch_rows")}
+             if k not in ("crossing_rows", "touch_rows", "full_solves")}
     return nodes, links, stats
 
 
@@ -376,11 +376,30 @@ def test_touching_elements_outside_the_neighbour_rows(monkeypatch):
     assert runs[0].stats["sweep_truncations"] == 0
 
 
+@pytest.mark.parametrize("seed", [15, 23])
+def test_missed_crossings_resolve_the_branch(seed, monkeypatch):
+    """In these unsimplified union3 traces the neighbour rows miss a
+    crossing: past the last sweep sample (seed 15), and by a rounding step
+    at a co-circular junction (seed 23).  propagate solves those branches
+    again against every element (stats["full_solves"]), and the raw graph
+    equals the one solved against every element."""
+    elements, rect = _mask_scene(_masks_workload_mask("union3", seed), 0.0)
+    runs = {}
+    for cutoff in (0, math.inf):
+        monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", cutoff)
+        runs[cutoff] = engine.run(elements, rect)
+    assert runs[0].stats["full_solves"] > 0
+    assert runs[math.inf].stats["full_solves"] == 0
+    assert _raw_dump(runs[0]) == _raw_dump(runs[math.inf])
+    assert runs[0].stats["sweep_truncations"] == 0
+
+
 def test_large_mask_takes_the_filtered_path(monkeypatch):
     """A traced ring mask at twice the benchmark's size is large enough to
     build the neighbour table at the default cut-off, and gives the raw
     graph that solving against every element gives."""
-    elements, rect = _mask_scene(_ring(LCG(1), 128, 56.0, 40.0))
+    ring = dict(MASK_SHAPES)["ring"]
+    elements, rect = _mask_scene(ring(LCG(1), 128, 56.0, 40.0))
     assert len(elements) == 312 >= engine._NEIGHBOUR_MIN_ELEMENTS
     eng = engine.Engine(elements, rect)
     assert eng.eset._nbr is not None
