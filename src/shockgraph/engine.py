@@ -25,8 +25,12 @@ The roots are solved once per bisector branch and cached, trimmed to the
 hull of the branch's piece domains, outside which propagation reads none.
 The engine works in t throughout, and raw links record t.  A validity sweep
 of exact distances to every element at interior samples of every traced
-link catches a missed crossing, whether the filter dropped its element or
-not, and truncates the link there by bisection; stats["sweep_truncations"]
+link catches a missed crossing.  On a link traced with neighbour rows the
+sweep also checks the link's end; when it finds a miss there or inside, or
+an element outside the rows reaches the end node, the branch is solved
+again against every element and traced again (stats["full_solves"]), so
+the link is the one the all-elements solve gives.  Otherwise the sweep
+truncates the link at the miss by bisection; stats["sweep_truncations"]
 counts those.
 """
 from __future__ import annotations
