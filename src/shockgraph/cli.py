@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .contours import (check_no_crossings, decompose, parse_scene_text,
-                       simplify_polyline, trace_binary_mask)
+from .contours import (decompose, parse_scene_text, simplify_polyline,
+                       trace_binary_mask)
 from .errors import (InvalidInputError, NonterminationError, ShockGraphError)
 from .export import (format_graphml, format_sgtext, read_text, to_document,
                      to_svg)
@@ -163,7 +163,6 @@ def run_scene(config: RunConfig, scene_path: str) -> dict:
     frags, rect, box_fid = augment_with_box(frags, width, height,
                                             config.bbox_scale)
     elements = decompose(frags)
-    check_no_crossings(elements)
     raw = engine.run(elements, rect, event_budget=config.event_budget)
     graph = build_graph(raw, elements, scene=(width, height))
     graph = prune(graph, elements, lam=config.lam,

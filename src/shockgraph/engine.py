@@ -17,21 +17,22 @@ arrival is a quadratic root (see _crossing_params).  A branch solves these
 quadratics only against the neighbours of its two generators: elements with
 samples on a common face of the Delaunay subdivision of the element samples
 (the sampled-Voronoi neighbourhood of the medial axis), which serves only
-as a filter.  Elements touching a shock's start that those rows leave out
-are solved for that start as well, because the contact transition test at
-the start reads their roots.  Scenes smaller than _NEIGHBOUR_MIN_ELEMENTS,
-and sample sets Qhull cannot triangulate, solve against every element.
-The roots are solved once per bisector branch and cached, trimmed to the
-hull of the branch's piece domains, outside which propagation reads none.
-The engine works in t throughout, and raw links record t.  A validity sweep
-of exact distances to every element at interior samples of every traced
-link catches a missed crossing.  On a link traced with neighbour rows the
-sweep also checks the link's end; when it finds a miss there or inside, or
-an element outside the rows reaches the end node, the branch is solved
-again against every element and traced again (stats["full_solves"]), so
-the link is the one the all-elements solve gives.  Otherwise the sweep
-truncates the link at the miss by bisection; stats["sweep_truncations"]
-counts those.
+as a filter.  Scenes smaller than _NEIGHBOUR_MIN_ELEMENTS, and sample sets
+Qhull cannot triangulate, solve against every element.  The roots are
+solved once per bisector branch and cached, trimmed to the hull of the
+branch's piece domains, outside which propagation reads none.  The engine
+works in t throughout, and raw links record t.
+
+A validity sweep of exact distances to every element at interior samples of
+every traced link catches a missed crossing.  On a link traced with
+neighbour rows the sweep also checks the link's end.  Any sign that the
+rows are incomplete -- an element outside them touching the shock's start
+(the contact transition test there reads its roots) or reaching the end
+node, or a sweep miss -- has one answer: the branch is solved again against
+every element (stats["full_solves"]), so the link is the one the
+all-elements solve gives.  On a branch solved against every element the
+sweep truncates the link at a miss by bisection instead;
+stats["sweep_truncations"] counts those.
 """
 from __future__ import annotations
 
@@ -83,7 +84,9 @@ class ElementSet:
     Sets of at least _NEIGHBOUR_MIN_ELEMENTS elements also build a neighbour
     table once, from a Delaunay triangulation of samples TRI_STEP apart (see
     _neighbour_table); crossing_rows gives a branch the neighbours of its
-    generators, or every element when there is no table.
+    generators, or every element when there is no table.  The table only
+    narrows which roots are solved: Engine.propagate re-solves a branch
+    against every element on any sign that its rows are incomplete.
     """
 
     SAMPLE_STEP = 0.5
@@ -93,65 +96,43 @@ class ElementSet:
     TRI_STEP = 2.0
 
     def __init__(self, elements: list[BoundaryElement]):
-        self.elements = elements
         self.n = len(elements)
-        pt_ids, pts = [], []
-        sg_ids, sa, sd, sl = [], [], [], []
+        # one (kind, ax, ay, dx, dy, L) row of Python floats per element id,
+        # for the scalar queries (cheaper than numpy scalar indexing): a
+        # point is (0, x, y, 0, 0, 0), a segment (1, its start, its unit
+        # direction, its length)
+        self._rows = [None] * self.n
         for e in elements:
             if e.kind == POINT:
-                pt_ids.append(e.id)
-                pts.append(e.geometry)
+                x, y = map(float, e.geometry)
+                self._rows[e.id] = (0, x, y, 0.0, 0.0, 0.0)
             else:
-                (ax, ay), (bx, by) = e.geometry
+                (ax, ay), (bx, by) = np.asarray(e.geometry, float).tolist()
                 L = math.hypot(bx - ax, by - ay)
-                sg_ids.append(e.id)
-                sa.append((ax, ay))
-                sd.append(((bx - ax) / L, (by - ay) / L))
-                sl.append(L)
-        self.pt_ids = np.array(pt_ids, dtype=int)
-        self.pt_xy = np.array(pts, dtype=float).reshape(-1, 2)
-        self.sg_ids = np.array(sg_ids, dtype=int)
-        self.sg_a = np.array(sa, dtype=float).reshape(-1, 2)
-        self.sg_d = np.array(sd, dtype=float).reshape(-1, 2)
-        self.sg_L = np.array(sl, dtype=float)
-        # id-indexed scalar views for single-element distance evaluation, the
-        # rows of one (5, n) array, so a branch's crossing rows gather in one
-        # call per element kind
-        self._kind = np.zeros(self.n, dtype=np.int8)
-        self._cols = np.zeros((5, self.n))
-        self._ax, self._ay, self._dx, self._dy, self._L = self._cols
-        if len(pt_ids):
-            self._ax[self.pt_ids] = self.pt_xy[:, 0]
-            self._ay[self.pt_ids] = self.pt_xy[:, 1]
-        if len(sg_ids):
-            self._kind[self.sg_ids] = 1
-            self._ax[self.sg_ids] = self.sg_a[:, 0]
-            self._ay[self.sg_ids] = self.sg_a[:, 1]
-            self._dx[self.sg_ids] = self.sg_d[:, 0]
-            self._dy[self.sg_ids] = self.sg_d[:, 1]
-            self._L[self.sg_ids] = self.sg_L
-        # the same views as Python floats, one tuple per element id, for the
-        # scalar queries (cheaper than numpy scalar indexing, same values)
-        self._rows = list(zip(self._kind.tolist(), self._ax.tolist(),
-                              self._ay.tolist(), self._dx.tolist(),
-                              self._dy.tolist(), self._L.tolist()))
+                self._rows[e.id] = (1, ax, ay, (bx - ax) / L, (by - ay) / L, L)
+        # the same rows as one (5, n) array and a kind vector, so a set of
+        # elements gathers in one call
+        self._kind = np.array([r[0] for r in self._rows], dtype=np.int8)
+        self._cols = np.array([r[1:] for r in self._rows]).T.copy()
+        pid = np.nonzero(self._kind == 0)[0]
+        sid = np.nonzero(self._kind == 1)[0]
+        self._all_rows = (pid, self._cols[:, pid], sid, self._cols[:, sid])
         xy, self._sample_eid = self._samples(self.SAMPLE_STEP)
         self._tree = cKDTree(xy)
         self._nbr = None
         if self.n >= _NEIGHBOUR_MIN_ELEMENTS:
             self._nbr = self._neighbour_table(*self._samples(self.TRI_STEP))
-        self._all_rows = (self.pt_ids, self._cols[:, self.pt_ids],
-                          self.sg_ids, self._cols[:, self.sg_ids])
 
     def _samples(self, step):
         """Sample points (m, 2) and their element ids (m,): every point
         element, and every segment at spacing at most step, ends included."""
-        xs, eids = [self.pt_xy], [self.pt_ids]
-        for k in range(self.sg_a.shape[0]):
-            m = max(2, int(math.ceil(self.sg_L[k] / step)) + 1)
-            t = np.linspace(0.0, self.sg_L[k], m)
-            xs.append(self.sg_a[k] + t[:, None] * self.sg_d[k])
-            eids.append(np.full(m, self.sg_ids[k], dtype=int))
+        pid, pcol, sid, scol = self._all_rows
+        xs, eids = [pcol[:2].T], [pid]
+        for k, (ax, ay, dx, dy, L) in zip(sid.tolist(), scol.T):
+            m = max(2, int(math.ceil(L / step)) + 1)
+            t = np.linspace(0.0, L, m)
+            xs.append(np.column_stack([ax + t * dx, ay + t * dy]))
+            eids.append(np.full(m, k, dtype=int))
         return np.vstack(xs), np.concatenate(eids)
 
     def _neighbour_table(self, xy, eid):
@@ -226,20 +207,14 @@ class ElementSet:
         element when the set has no neighbour table."""
         if self._nbr is None:
             return self._all_rows
-        return self.rows_of(sorted(self._nbr[g1] | self._nbr[g2]))
-
-    def rows_of(self, ids):
-        """The crossing rows (see crossing_rows) of the ascending ids."""
-        ids = np.asarray(ids, dtype=int)
+        ids = np.array(sorted(self._nbr[g1] | self._nbr[g2]), dtype=int)
         seg = self._kind[ids] == 1
         pid, sid = ids[~seg], ids[seg]
         return pid, self._cols[:, pid], sid, self._cols[:, sid]
 
     def outside_rows(self, g1: int, g2: int, eids) -> list:
         """The ids of eids (ascending) that crossing_rows(g1, g2) leaves
-        out."""
-        if self._nbr is None:
-            return []
+        out on a set with a neighbour table."""
         n1, n2 = self._nbr[g1], self._nbr[g2]
         return [e for e in eids if e not in n1 and e not in n2]
 
@@ -272,39 +247,25 @@ class ElementSet:
             q, radius + 0.5 * self.SAMPLE_STEP + 1e-9)
         return set(self._sample_eid[sids].tolist()).difference(exclude_ids)
 
-    def open_distances_many(self, q):
-        """(K, n_elements) matrix of open distances from points q (K, 2)."""
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        K = q.shape[0]
-        out = np.full((K, self.n), _INF)
-        if self.pt_xy.shape[0]:
-            diff = q[:, None, :] - self.pt_xy[None, :, :]
-            out[:, self.pt_ids] = np.hypot(diff[:, :, 0], diff[:, :, 1])
-        if self.sg_a.shape[0]:
-            rel = q[:, None, :] - self.sg_a[None, :, :]
-            t = rel[:, :, 0] * self.sg_d[None, :, 0] + rel[:, :, 1] * self.sg_d[None, :, 1]
-            dperp = np.abs(rel[:, :, 0] * self.sg_d[None, :, 1]
-                           - rel[:, :, 1] * self.sg_d[None, :, 0])
-            interior = (t > 0.0) & (t < self.sg_L[None, :])
-            out[:, self.sg_ids] = np.where(interior, dperp, _INF)
+    def open_distances(self, pts, ids):
+        """(K, m) matrix of open distances from points pts (K, 2) to the
+        elements ids (m,)."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        ids = np.asarray(ids, dtype=int)
+        seg = self._kind[ids] == 1
+        out = np.full((pts.shape[0], len(ids)), _INF)
+        pid, sid = np.nonzero(~seg)[0], np.nonzero(seg)[0]
+        if len(pid):
+            ax, ay = self._cols[:2, ids[pid]]
+            out[:, pid] = np.hypot(pts[:, None, 0] - ax, pts[:, None, 1] - ay)
+        if len(sid):
+            ax, ay, dx, dy, L = self._cols[:, ids[sid]]
+            rx = pts[:, None, 0] - ax
+            ry = pts[:, None, 1] - ay
+            t = rx * dx + ry * dy
+            out[:, sid] = np.where((t > 0.0) & (t < L),
+                                   np.abs(rx * dy - ry * dx), _INF)
         return out
-
-    def min_third(self, q, exclude_ids) -> float:
-        """Minimum open distance from q over elements not in exclude_ids."""
-        nsamp = len(self._sample_eid)
-        k = 16
-        while True:
-            ds, idx = self._tree.query(q, k=min(k, nsamp))
-            eids = np.unique(self._sample_eid[idx])
-            for eid in exclude_ids:
-                eids = eids[eids != eid]
-            best = float(self.nearest_distance([q], eids)[0]) \
-                if len(eids) else _INF
-            # any element unseen here is at least this far away
-            bound = float(ds[-1]) - 0.5 * self.SAMPLE_STEP
-            if best <= bound or k >= nsamp:
-                return best
-            k *= 4
 
     def any_closer(self, q, thresh, exclude_ids) -> bool:
         """True iff some element outside exclude_ids has open distance < thresh."""
@@ -323,7 +284,7 @@ class ElementSet:
         near = self._ball_elements(mid, reach, exclude_ids)
         if not near:
             return np.full(len(pts), _INF)
-        return self.nearest_distance(pts, sorted(near))
+        return self.open_distances(pts, sorted(near)).min(axis=1)
 
     def maybe_valid(self, locs, times, g1, g2):
         """Boolean mask over candidate shock sources (locs (K, 2), formation
@@ -342,28 +303,6 @@ class ElementSet:
         nongen = (eids != g1[rest, None]) & (eids != g2[rest, None])
         alive[rest] = np.where(nongen, ds, _INF).min(axis=1) >= times[rest] - 1e-9
         return alive
-
-    def nearest_distance(self, pts, elem_ids):
-        """(K,) minimum open distance from each of pts to the given element
-        ids (+inf when none is open to a point)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ids = np.asarray(elem_ids, dtype=int)
-        seg = self._kind[ids] == 1
-        out = np.full(pts.shape[0], _INF)
-        pid = ids[~seg]
-        if len(pid):
-            out = np.hypot(pts[:, None, 0] - self._ax[pid],
-                           pts[:, None, 1] - self._ay[pid]).min(axis=1)
-        sid = ids[seg]
-        if len(sid):
-            rx = pts[:, None, 0] - self._ax[sid]
-            ry = pts[:, None, 1] - self._ay[sid]
-            dx, dy = self._dx[sid], self._dy[sid]
-            t = rx * dx + ry * dy
-            dperp = np.abs(rx * dy - ry * dx)
-            inner = (t > 0.0) & (t < self._L[sid])
-            out = np.minimum(out, np.where(inner, dperp, _INF).min(axis=1))
-        return out
 
     def closed_near(self, q, radius, exclude_ids):
         """Element ids whose CLOSED distance (segments clamped to their
@@ -523,6 +462,10 @@ def _candidate_blocks(elements: list[BoundaryElement], rows: int):
     A = np.array([s.geometry[0] for s in segs], dtype=float).reshape(-1, 2)
     B = np.array([s.geometry[1] for s in segs], dtype=float).reshape(-1, 2)
     sids = np.array([s.id for s in segs], dtype=int)
+    # these arrays are not ElementSet's columns: np.hypot here and
+    # math.hypot there round some lengths differently in the last bit (3 of
+    # the 216 segments of the 100-fragment 160x160 scene), so sharing them
+    # would move candidate times and could change the output
     D = B - A
     L = np.hypot(D[:, 0], D[:, 1])
     Du = D / L[:, None]
@@ -660,7 +603,7 @@ class Engine:
         self._seq = itertools.count()
         self.stats = {"elements": n, "candidates": 0, "discarded": 0,
                       "realized": 0, "events": 0, "sweep_truncations": 0,
-                      "crossing_rows": 0, "touch_rows": 0, "full_solves": 0}
+                      "crossing_rows": 0, "full_solves": 0}
 
     # -- nodes -------------------------------------------------------------
     def _node_at(self, loc, radius, gen_ids):
@@ -765,10 +708,9 @@ class Engine:
                     self._spawn(rec, s_n, direction, node_id, node.radius)
 
     # -- analytic crossings --------------------------------------------------
-    def _crossing_params(self, rec: Bisector, rows=None):
+    def _crossing_params(self, rec: Bisector, rows):
         """All (natural-parameter, element-id) wavefront crossings of rec
-        with the elements of rows (ElementSet.crossing_rows layout), by
-        default the crossing rows of its generators.
+        with the elements of rows (ElementSet.crossing_rows layout).
 
         Returns (params, ids) arrays in the bisector's natural parameter
         (arc length for line-likes, directrix coordinate xi for parabolas),
@@ -776,8 +718,6 @@ class Engine:
         NaN. Every quadratic of one bisector goes through one _quad_roots
         call.
         """
-        if rows is None:
-            rows = self.eset.crossing_rows(*rec.pair)
         pid, pcol, sid, scol = rows
         px, py = pcol[0], pcol[1]
         ax, ay, dx, dy, L = scol
@@ -881,11 +821,10 @@ class Engine:
         Only the generators' neighbours are solved (see _crossing_params).
         Dropping elements can only remove roots, so the first counted
         crossing is unchanged whenever the element that ends the link is a
-        neighbour.  propagate adds, uncached, the roots of the elements
-        touching its start that the rows leave out, which its contact
-        transition test needs, and re-solves the branch against every
-        element (full=True, which replaces the entry) when its link shows a
-        missed crossing."""
+        neighbour.  When an element outside the rows touches the start or
+        reaches the end, or the sweep finds a missed crossing, propagate
+        re-solves the branch against every element (full=True, which
+        replaces the entry)."""
         key = rec.branch_key
         cached = self._root_cache.get(key)
         if cached is None or full:
@@ -947,23 +886,19 @@ class Engine:
             parent_gens = ()
         near_tol = 1e-5 * scale
 
+        filtered = self._table and rec.branch_key not in self._full_roots
+        if filtered and self.eset.outside_rows(*gens, touch):
+            # the contact transition below reads the roots of every touching
+            # element, and the neighbour rows can leave one out (an element
+            # on the parent junction's empty circle whose samples share no
+            # face with the generators'): solve the branch against every
+            # element
+            self.stats["full_solves"] += 1
+            self._crossings(rec, full=True)
+            filtered = False
         # analytic third-wave crossings strictly between the probe and the
         # cap that count as events, in travel order
         params, ids = self._crossings(rec)
-        filtered = self._table and rec.branch_key not in self._full_roots
-        extra = self.eset.outside_rows(*gens, touch) if filtered else []
-        if extra:
-            # the contact transition below needs the roots of every touching
-            # element, and the neighbour rows can leave some out (an element
-            # on the parent junction's empty circle whose samples share no
-            # face with the generators'): solve those here, uncached
-            self.stats["touch_rows"] += len(extra)
-            xp, xi = self._crossing_params(rec, self.eset.rows_of(extra))
-            live = ~np.isnan(xp)
-            params = np.concatenate([params, xp[live]])
-            ids = np.concatenate([ids, xi[live].astype(np.int32)])
-            order = np.argsort(params, kind="stable")
-            params, ids = params[order], ids[order]
         if direction > 0:
             ahead = range(params.searchsorted(s_probe, "right"),
                           params.searchsorted(s_lim, "left"))
@@ -1050,7 +985,10 @@ class Engine:
             hi = float(ts[bad])
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                dv = self.eset.min_third(rec.point(mid), gens) - float(rec.radius(mid))
+                rm = np.array([float(rec.radius(mid))])
+                # only the sign is read, and min_third_along is exact below rm
+                dv = self.eset.min_third_along(rec.point(mid)[None], rm,
+                                               gens)[0] - rm[0]
                 if dv >= 0.0:
                     lo = mid
                 else:
@@ -1078,6 +1016,7 @@ class Engine:
         about _PAIR_BUDGET pairs or distances at a time, not all pairs."""
         rows = max(1, _PAIR_BUDGET // len(self.elements))
         out = []
+        every = np.arange(self.eset.n)
         for t, x, y, g1, g2, br in _candidate_blocks(self.elements, rows):
             self.stats["candidates"] += len(t)
             locs = np.column_stack([x, y])
@@ -1086,7 +1025,7 @@ class Engine:
             ok = np.zeros(len(t), dtype=bool)
             for lo in range(0, len(surv), rows):
                 sel = surv[lo:lo + rows]
-                d = self.eset.open_distances_many(locs[sel])
+                d = self.eset.open_distances(locs[sel], every)
                 rr = np.arange(len(sel))
                 d[rr, g1[sel]] = _INF
                 d[rr, g2[sel]] = _INF

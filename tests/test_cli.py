@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 from shockgraph import cli, engine
@@ -40,6 +41,17 @@ def test_garbage_scene_is_a_parse_error(tmp_path):
     bad = tmp_path / "bad.scene"
     bad.write_text("this is not a scene\n")
     assert cli.main([str(bad), "-o", str(tmp_path)]) == cli.EXIT_PARSE
+
+
+def test_crossing_scene_is_a_parse_error(tmp_path, capsys):
+    crossing = tmp_path / "crossing.scene"
+    crossing.write_text("scene 60 60\n"
+                        "fragment 0 open\nv 10 10\nv 50 50\n"
+                        "fragment 1 open\nv 10 50\nv 50 10\n")
+    assert cli.main([str(crossing), "-o", str(tmp_path)]) == cli.EXIT_PARSE
+    report = capsys.readouterr().out
+    assert "status=error" in report
+    assert re.search(r"segments \d+ and \d+ cross", report)
 
 
 def test_missing_file_is_a_parse_error(tmp_path):

@@ -199,9 +199,16 @@ def test_proximity_queries_match_full_scan(scene, n_elements):
         q = (rng.uniform(rect.xmin, rect.xmax), rng.uniform(rect.ymin, rect.ymax))
         excl = (rng.randint(0, n_elements - 1), rng.randint(0, n_elements - 1))
         open_d, closed_d = _scan_distances(elements, q)
+        got = eset.open_distances(q, np.arange(n_elements))
+        assert got.shape == (1, n_elements)
+        assert np.isinf(got[0]).tolist() == np.isinf(open_d).tolist()
+        finite = np.isfinite(open_d)
+        assert got[0][finite] == pytest.approx(open_d[finite], rel=1e-12,
+                                               abs=1e-12)
         open_d[list(excl)] = closed_d[list(excl)] = math.inf
-        assert eset.min_third(q, excl) == pytest.approx(open_d.min(),
-                                                        rel=1e-12, abs=1e-12)
+        assert eset.min_third_along(
+            np.array([q]), np.array([open_d.min() + 1e-9]), excl)[0] == \
+            pytest.approx(open_d.min(), rel=1e-12, abs=1e-12)
         # a random radius, and radii that just reach the nearest element,
         # whose closest point usually lies between two kd-tree samples
         for radius in (rng.uniform(0.0, 0.15 * span), open_d.min() + 1e-9,
@@ -267,7 +274,8 @@ def test_root_cache_keeps_the_branch_hull():
         assert pieces[0].branch_key == pieces[1].branch_key
         lo, hi = pieces[0].t_lo, pieces[1].t_hi
         assert pieces[0].t_hi < pieces[1].t_lo
-        params, ids = eng._crossing_params(pieces[first])
+        params, ids = eng._crossing_params(
+            pieces[first], eng.eset.crossing_rows(*pieces[first].pair))
         finite = np.isfinite(params)
         order = np.argsort(params[finite], kind="stable")
         full, full_ids = params[finite][order], ids[finite][order]
@@ -310,14 +318,14 @@ def test_candidate_pass_memory_slope():
 
 def _raw_dump(raw):
     """Every node and link field of a raw graph, and its stats but the
-    crossing_rows, touch_rows and full_solves counters, as plain values."""
+    crossing_rows and full_solves counters, as plain values."""
     nodes = [(n.id, n.location, n.radius, sorted(n.gen_ids),
               sorted(n.discovered)) for n in raw.nodes]
     links = [(ln.id, type(ln.bisector).__name__, ln.bisector.pair,
               ln.bisector.branch_key, ln.t_from, ln.t_to, ln.node_from,
               ln.node_to, ln.end_kind) for ln in raw.links]
     stats = {k: v for k, v in raw.stats.items()
-             if k not in ("crossing_rows", "touch_rows", "full_solves")}
+             if k not in ("crossing_rows", "full_solves")}
     return nodes, links, stats
 
 
@@ -362,16 +370,16 @@ def test_neighbour_filter_matches_all_elements(scene, monkeypatch):
 def test_touching_elements_outside_the_neighbour_rows(monkeypatch):
     """In the unsimplified trace of the ellipse mask, pixel-grid samples on
     one empty circle leave some elements touching a propagation start out
-    of the neighbour rows of its generators.  Their roots are solved for
-    the start (stats["touch_rows"]), and the raw graph equals the one
-    solved against every element."""
+    of the neighbour rows of its generators.  Those branches are solved
+    again against every element (stats["full_solves"]), and the raw graph
+    equals the one solved against every element."""
     elements, rect = _mask_scene(_masks_workload_mask("ellipse"), 0.0)
     runs = {}
     for cutoff in (0, math.inf):
         monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", cutoff)
         runs[cutoff] = engine.run(elements, rect)
-    assert runs[0].stats["touch_rows"] > 0
-    assert runs[math.inf].stats["touch_rows"] == 0
+    assert runs[0].stats["full_solves"] > 0
+    assert runs[math.inf].stats["full_solves"] == 0
     assert _raw_dump(runs[0]) == _raw_dump(runs[math.inf])
     assert runs[0].stats["sweep_truncations"] == 0
 
@@ -392,6 +400,32 @@ def test_missed_crossings_resolve_the_branch(seed, monkeypatch):
     assert runs[0].stats["full_solves"] > 0
     assert runs[math.inf].stats["full_solves"] == 0
     assert runs[0].stats["sweep_truncations"] == 0
+
+
+def test_sweep_bisection_truncates_missed_crossings(monkeypatch):
+    """With element 10's crossing roots dropped, the validity sweep finds
+    two links that run past a crossing and truncates them by bisection: the
+    raw graph keeps every link, each end within 1e-5 of the intact run's,
+    and the graph built from it is valid."""
+    elements, rect = _boxed(random_scene(6, 3)[0], 100, 100)
+    intact = engine.run(elements, rect)
+    solve = engine.Engine._crossing_params
+
+    def drop_element_10(self, rec, *rows):
+        params, ids = solve(self, rec, *rows)
+        return np.where(ids == 10, np.nan, params), ids
+
+    monkeypatch.setattr(engine.Engine, "_crossing_params", drop_element_10)
+    raw = engine.run(elements, rect)
+    assert intact.stats["sweep_truncations"] == 0
+    assert raw.stats["sweep_truncations"] == 2
+    assert len(raw.links) == len(intact.links)
+    for got, want in zip(raw.links, intact.links):
+        for g_node, w_node in ((got.node_from, want.node_from),
+                               (got.node_to, want.node_to)):
+            g, w = raw.nodes[g_node].location, intact.nodes[w_node].location
+            assert math.hypot(g[0] - w[0], g[1] - w[1]) <= 1e-5
+    build_graph(raw, elements).validate()
 
 
 def test_large_mask_takes_the_filtered_path(monkeypatch):
