@@ -33,6 +33,10 @@ every element (stats["full_solves"]), so the link is the one the
 all-elements solve gives.  On a branch solved against every element the
 sweep truncates the link at a miss by bisection instead;
 stats["sweep_truncations"] counts those.
+
+Engine._node_at makes every raw node, and realizes each junction once (see
+there).  A link whose end joins its own start node is slack: propagate
+claims its interval and searches its end for outflows, but records no link.
 """
 from __future__ import annotations
 
@@ -52,7 +56,7 @@ from .bisectors import (Bisector, MidlineBisector, ParabolaBisector,
                         make_bisectors)
 from .contours import POINT, SEGMENT, BoundaryElement, check_no_crossings
 from .errors import InvalidInputError, NonterminationError
-from .geometry import EPS_GEOM, EPS_MERGE, Rect
+from .geometry import EPS_GEOM, EPS_MERGE, EPS_REL, Rect
 
 _INF = math.inf
 
@@ -590,7 +594,10 @@ class Engine:
         self.events = 0
         self.nodes: list[RawNode] = []
         self.links: list[RawLink] = []
-        self._node_cells: dict[tuple, int] = {}
+        # _node_at keeps node ids by grid cell of side _merge_tol
+        self._merge_tol = EPS_REL * max(box.xmax - box.xmin,
+                                        box.ymax - box.ymin, 1.0)
+        self._node_cells: dict[tuple, list] = {}
         self._bisector_cache: dict[tuple, list] = {}
         self._root_cache: dict[tuple, tuple] = {}
         # branches whose cached roots cover every element although the set
@@ -606,22 +613,31 @@ class Engine:
                       "crossing_rows": 0, "full_solves": 0}
 
     # -- nodes -------------------------------------------------------------
-    def _node_at(self, loc, radius, gen_ids):
-        cx = round(loc[0] / EPS_MERGE)
-        cy = round(loc[1] / EPS_MERGE)
+    def _node_at(self, loc, radius, gen_ids: set) -> int:
+        """The node at loc: an existing node within EPS_MERGE of loc, or
+        within _merge_tol when one generator set contains the other (it
+        takes on gen_ids), else a new node.  Every node is made here, so
+        each junction is realized once: one junction reached as a crossing
+        root on one shock and as another's domain end scatters up to
+        _merge_tol (near a foot-window edge the crossing deficit vanishes to
+        second order), while distinct junctions that close have generator
+        sets that are not nested."""
+        tol = self._merge_tol
+        cx, cy = math.floor(loc[0] / tol), math.floor(loc[1] / tol)
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
-                nid = self._node_cells.get((cx + dx, cy + dy))
-                if nid is not None:
+                for nid in self._node_cells.get((cx + dx, cy + dy), ()):
                     node = self.nodes[nid]
-                    if math.hypot(node.location[0] - loc[0],
-                                  node.location[1] - loc[1]) <= EPS_MERGE:
+                    d = math.hypot(node.location[0] - loc[0],
+                                   node.location[1] - loc[1])
+                    if d <= EPS_MERGE or (d <= tol and (
+                            node.gen_ids <= gen_ids or gen_ids <= node.gen_ids)):
                         node.gen_ids.update(gen_ids)
                         return nid
         nid = len(self.nodes)
         self.nodes.append(RawNode(nid, (float(loc[0]), float(loc[1])),
                                   float(radius), set(gen_ids)))
-        self._node_cells[(cx, cy)] = nid
+        self._node_cells.setdefault((cx, cy), []).append(nid)
         return nid
 
     # -- claimed intervals -------------------------------------------------
@@ -674,29 +690,27 @@ class Engine:
                        (t0, next(self._seq),
                         ActiveShock(rec, s0, direction, node_id, t0)))
 
-    def _discover_outflows(self, node_id):
-        node = self.nodes[node_id]
-        gens = sorted(node.gen_ids)
-        scale = 1.0 + node.radius
-        fresh = node.gen_ids - node.discovered
-        pairs = [(a, b) for a, b in itertools.combinations(gens, 2)
+    def _discover_outflows(self, node_id, gens, fresh, loc, radius):
+        """Spawn outflows of node node_id from loc, where the front has the
+        given radius, along every bisector through loc of a pair of gens
+        with a generator in fresh."""
+        scale = 1.0 + radius
+        pairs = [(a, b) for a, b in itertools.combinations(sorted(gens), 2)
                  if a in fresh or b in fresh]
-        node.discovered.update(node.gen_ids)
         for a, b in pairs:
             for rec in self._bisectors(a, b):
-                s_n = _param_near(rec, node.location)
+                s_n = _param_near(rec, loc)
                 if s_n is None:
                     continue
                 s_n = min(max(s_n, rec.t_lo), rec.t_hi)
                 p = rec.point(s_n)
-                if math.hypot(p[0] - node.location[0], p[1] - node.location[1]) \
-                        > 1e-6 * scale:
+                if math.hypot(p[0] - loc[0], p[1] - loc[1]) > 1e-6 * scale:
                     continue
                 for direction in (1.0, -1.0):
                     probe = s_n + direction * 1e-7 * scale
                     if not (rec.t_lo - 1e-12 <= probe <= rec.t_hi + 1e-12):
                         continue
-                    if rec.radius(probe) < node.radius - 1e-9 * scale:
+                    if rec.radius(probe) < radius - 1e-9 * scale:
                         continue  # time must not decrease along an outflow
                     if float(rec.dradius(probe)) * direction < -1e-12:
                         # near-flat channels: the finite-radius check above
@@ -705,7 +719,7 @@ class Engine:
                         # territory belongs to the source at the local
                         # radius minimum, not to this junction
                         continue
-                    self._spawn(rec, s_n, direction, node_id, node.radius)
+                    self._spawn(rec, s_n, direction, node_id, radius)
 
     # -- analytic crossings --------------------------------------------------
     def _crossing_params(self, rec: Bisector, rows):
@@ -944,19 +958,16 @@ class Engine:
         if abs(s_end - s0) <= 1e-6 * scale:
             return None
 
-        crossing = []
-        if end_kind == "junction":
+        if end_kind == "claim":
+            end_kind, crossing = "junction", []
+        else:
             crossing = self.eset.near_elements(
                 rec.point(s_end), float(rec.radius(s_end)) + 1e-6 * scale, gens)
-        elif end_kind == "domain":
+        if end_kind == "domain":
             # feet ran out: the generator endpoint's wave takes over there
-            crossing = self.eset.near_elements(
-                rec.point(s_end), float(rec.radius(s_end)) + 1e-6 * scale, gens)
             end_kind = "junction" if crossing else \
                 ("boxexit" if self.box.inset_distance(rec.point(s_end)) < 1e-6
                  else "domain")
-        elif end_kind == "claim":
-            end_kind = "junction"
 
         # validity sweep: exact deficit at interior samples; a violation means
         # a crossing was missed, so truncate there by bisection.  A link
@@ -1001,13 +1012,25 @@ class Engine:
 
         end_loc = rec.point(s_end)
         end_r = float(rec.radius(s_end))
-        node_to = self._node_at(end_loc, end_r, set(gens) | set(crossing))
+        end_gens = set(gens) | set(crossing)
+        node_to = self._node_at(end_loc, end_r, end_gens)
         self._claim(rec.branch_key, s0, s_end)
+        if node_to == shock.parent_node:
+            # slack: the end is the start junction again (see _node_at); no
+            # link, but the end's pairs are searched from where they meet
+            if end_kind == "junction":
+                self._discover_outflows(node_to, end_gens, end_gens, end_loc,
+                                        end_r)
+            return end_kind
         lid = len(self.links)
         self.links.append(RawLink(lid, rec, float(s0), float(s_end),
                                   shock.parent_node, node_to, end_kind))
         if end_kind == "junction":
-            self._discover_outflows(node_to)
+            node = self.nodes[node_to]
+            fresh = node.gen_ids - node.discovered
+            node.discovered.update(node.gen_ids)
+            self._discover_outflows(node_to, node.gen_ids, fresh,
+                                    node.location, node.radius)
         return end_kind
 
     def _valid_candidates(self) -> list[ShockCandidate]:

@@ -11,8 +11,12 @@ import numpy as np
 
 # Coincidence tolerance for input geometry (pixels).
 EPS_GEOM = 1e-9
-# Node merge tolerance in the propagation engine (pixels).
+# Node merge tolerance in the propagation engine (pixels), whatever the
+# generator sets.
 EPS_MERGE = 1e-6
+# Share of the scene size: the scatter of one junction across the shocks
+# that reach it (Engine._node_at, ShockGraph.validate).
+EPS_REL = 1e-6
 # Supporting lines closer than this angle (radians) are treated as parallel.
 PARALLEL_EPS = 1e-7
 

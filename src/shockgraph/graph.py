@@ -30,6 +30,7 @@ import numpy as np
 from .bisectors import KIND_PARABOLA, Bisector
 from .contours import BoundaryElement
 from .errors import StructuralError
+from .geometry import EPS_REL
 
 # Node labels
 SOURCE = "Source"
@@ -280,23 +281,22 @@ class ShockGraph:
         n = self.nodes[node_id]
         return [self.links[lid] for lid in n.link_ids]
 
-    def validate(self, tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         """Raise StructuralError on any violated graph invariant.
 
-        Node/link radius continuity is checked at tol scaled by the scene
-        span, matching the duplicate-node snap tolerance at build time:
-        a junction realized once as a crossing root and once as a domain
-        end scatters proportionally to the coordinate magnitude.
+        Node/link radius continuity is checked at EPS_REL of the node span,
+        the scatter of one junction across the links that meet there.
         """
         span = 1.0
         if self.nodes:
             xy = np.array([nd.location for nd in self.nodes], dtype=float)
             span = max(1.0, float((xy.max(axis=0) - xy.min(axis=0)).max()))
+        tol = EPS_REL * span
         for ln in self.links:
             if not (0 <= ln.from_node < len(self.nodes)
                     and 0 <= ln.to_node < len(self.nodes)):
                 raise StructuralError(f"link {ln.id}: dangling node reference")
-            if ln.radius_to < ln.radius_from - tol * span:
+            if ln.radius_to < ln.radius_from - tol:
                 raise StructuralError(f"link {ln.id}: time decreases along flow")
         for nd in self.nodes:
             if nd.degree == 0:
@@ -315,7 +315,7 @@ class ShockGraph:
             for lid, out in zip(nd.link_ids, nd.outgoing):
                 ln = self.links[lid]
                 r = ln.radius_from if out else ln.radius_to
-                if abs(r - nd.radius) > tol * span:
+                if abs(r - nd.radius) > tol:
                     raise StructuralError(
                         f"node {nd.id}/link {lid}: radius mismatch "
                         f"{r} vs {nd.radius}")
@@ -494,72 +494,23 @@ def assemble(links, node_src, elements: list[BoundaryElement], stats: dict,
 # Raw graph -> shock graph
 # ---------------------------------------------------------------------------
 
-def _snap_duplicate_nodes(raw, locs: np.ndarray, tol: float) -> dict:
-    """Map raw node ids onto representatives, merging near-duplicates.
-
-    A junction can be realized twice: once as a crossing root on one shock
-    and once as another shock's domain end. Near a foot-window edge the
-    crossing deficit vanishes to second order, so the two positions agree
-    only to ~sqrt(machine eps) of the scene scale, which can exceed the
-    engine's merge tolerance. Nodes within that scatter (tol) whose
-    generator sets are nested are the same junction; snap them together."""
-    n = len(raw.nodes)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    cells: dict[tuple, list] = {}
-    for i, (x, y) in enumerate(locs):
-        cx, cy = int(math.floor(x / tol)), int(math.floor(y / tol))
-        gi = raw.nodes[i].gen_ids
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in cells.get((cx + dx, cy + dy), ()):
-                    gj = raw.nodes[j].gen_ids
-                    if (math.hypot(x - locs[j, 0], y - locs[j, 1]) <= tol
-                            and (gi <= gj or gj <= gi)):
-                        ri, rj = find(i), find(j)
-                        if ri != rj:
-                            parent[max(ri, rj)] = min(ri, rj)
-        cells.setdefault((cx, cy), []).append(i)
-    return {i: find(i) for i in range(n)}
-
-
 def build_graph(raw, elements: list[BoundaryElement],
                 scene: tuple = None) -> ShockGraph:
     """Build the attributed shock graph from the engine's raw output.
 
-    Near-duplicate raw nodes are snapped together, and the self-loops that
-    the snap closes over its own scatter are dropped as slack. The rest is
-    assemble(): raw nodes with exactly one incoming and one outgoing link
-    are generator transitions, not graph features, and their links are
-    chained into composite links. Isolated raw nodes (candidates whose
-    every outflow died instantly) are dropped and counted in
+    This is assemble(): raw nodes with exactly one incoming and one
+    outgoing link are generator transitions, not graph features, and their
+    links are chained into composite links. Isolated raw nodes (candidates
+    whose every outflow died instantly) are dropped and counted in
     stats["isolated_dropped"]; stats["dissolved_flow_through"] counts the
     raw links that did not survive as links of their own.
     """
-    span = 1.0
-    node_map = {}
-    if raw.nodes:
-        locs = np.array([nd.location for nd in raw.nodes])
-        span = max(np.ptp(locs[:, 0]), np.ptp(locs[:, 1]), 1.0)
-        node_map = _snap_duplicate_nodes(raw, locs, 1e-6 * span)
-    # self-loops no longer than the node-snap scatter are slack closed by
-    # the snap, not geometry; keeping them would freeze phantom junctions
-    loop_tol = 1e-5 * span
-    links = []
-    for rl in raw.links:
-        frm, to = node_map[rl.node_from], node_map[rl.node_to]
-        if frm != to or rl.length > loop_tol:
-            links.append((rl.id, frm, to,
-                          [Piece(rl.bisector, rl.t_from, rl.t_to)]))
-
+    links = [(rl.id, rl.node_from, rl.node_to,
+              [Piece(rl.bisector, rl.t_from, rl.t_to)]) for rl in raw.links]
     graph = assemble(links, raw.nodes, elements, dict(raw.stats), scene=scene)
-    graph.stats["isolated_dropped"] = len(raw.nodes) - len(graph.nodes)
+    # not len(graph.nodes): assemble dissolves flow-through nodes too
+    linked = {ln[1] for ln in links} | {ln[2] for ln in links}
+    graph.stats["isolated_dropped"] = len(raw.nodes) - len(linked)
     graph.stats["dissolved_flow_through"] = len(raw.links) - len(graph.links)
     return graph
 

@@ -1,12 +1,16 @@
+import hashlib
 import re
 from importlib import resources
 
+import pytest
+
 from shockgraph import cli, engine
 from shockgraph.contours import (check_no_crossings, decompose,
-                                 simplify_polyline)
+                                 format_scene_text, simplify_polyline)
 from shockgraph.export import to_graphml, to_sgtext
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box, prune
+from shockgraph.scenes import random_scene
 
 RECTANGLE = str(resources.files("shockgraph.corpus") / "rectangle.scene")
 
@@ -85,3 +89,25 @@ def test_batch_with_one_bad_scene(tmp_path, capsys):
     assert code == cli.EXIT_PARSE
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "summary scenes=2 ok=1 failed=1"
+
+
+@pytest.mark.parametrize("n_frag, seed, digest", [
+    pytest.param(100, 101, "e047aefab0336c16b2e513e3bb3c03c15d9dea0cbc5d0d858a"
+                 "374e5c3f2180d8", id="hundred"),
+    pytest.param(200, 7, "ea1d74c42abe7749577cc840bc9f0b3f7fc97025a1ca6fc1b81"
+                 "dd59a40bc632f", id="random200-7")])
+def test_random_scene_sgtext_is_pinned(tmp_path, n_frag, seed, digest):
+    """The sgtext at lambda 1 of two unsimplified 160x160 random scenes,
+    written by the CLI, has a pinned sha256.  The first is the 100-fragment
+    benchmark scene at the benchmark's settings.  In the second, a shock
+    ends back on its own start junction, within the scatter of that
+    junction's realization: the engine records no link for it but searches
+    its end for outflows, without which the continuation of branch
+    (190, 869, 0) is lost."""
+    frags, _ = random_scene(n_frag, seed, width=160.0, height=160.0)
+    scene = tmp_path / "scene.scene"
+    scene.write_text(format_scene_text(160.0, 160.0, frags))
+    cli.run_scene(cli.RunConfig(inputs=[], output_dir=str(tmp_path),
+                                polyline_epsilon=0.0), str(scene))
+    data = (tmp_path / "scene.sg").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

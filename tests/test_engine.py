@@ -4,6 +4,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from shockgraph import engine
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
@@ -11,7 +12,7 @@ from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
                                  parse_scene_text, simplify_polyline,
                                  trace_binary_mask)
 from shockgraph.errors import NonterminationError
-from shockgraph.geometry import Rect
+from shockgraph.geometry import EPS_REL, Rect
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box
 from shockgraph.scenes import (LCG, random_scene, rectangle_fragment,
@@ -400,6 +401,34 @@ def test_missed_crossings_resolve_the_branch(seed, monkeypatch):
     assert runs[0].stats["full_solves"] > 0
     assert runs[math.inf].stats["full_solves"] == 0
     assert runs[0].stats["sweep_truncations"] == 0
+
+
+@pytest.mark.parametrize("scene", [
+    pytest.param(_hundred_elements, id="hundred"),
+    pytest.param(lambda: _mask_scene(_masks_workload_mask("ring")),
+                 id="mask-ring"),
+    pytest.param(lambda: _boxed([regular_polygon_fragment(64)], 10, 10),
+                 id="64-gon"),
+    pytest.param(lambda: _boxed(random_scene(6, 18)[0], 100, 100),
+                 id="random6-18")])
+def test_each_junction_is_one_raw_node(scene):
+    """The engine realizes each junction as one raw node: no two raw nodes
+    lie within the scene-relative merge tolerance with nested generator
+    sets.  stats["isolated_dropped"] counts the raw nodes with no links;
+    random_scene(6, 18) has two flow-through raw nodes, which build_graph
+    dissolves and does not count there."""
+    elements, rect = scene()
+    raw = engine.run(elements, rect)
+    tol = EPS_REL * max(rect.xmax - rect.xmin, rect.ymax - rect.ymin, 1.0)
+    xy = np.array([nd.location for nd in raw.nodes])
+    for i, j in sorted(cKDTree(xy).query_pairs(tol)):
+        gi, gj = raw.nodes[i].gen_ids, raw.nodes[j].gen_ids
+        assert not (gi <= gj or gj <= gi), \
+            f"raw nodes {i} and {j} are one junction"
+    linked = {ln.node_from for ln in raw.links} \
+        | {ln.node_to for ln in raw.links}
+    graph = build_graph(raw, elements)
+    assert graph.stats["isolated_dropped"] == len(raw.nodes) - len(linked)
 
 
 def test_sweep_bisection_truncates_missed_crossings(monkeypatch):
