@@ -478,18 +478,6 @@ def _segment_pair_branches(u: BoundaryElement, v: BoundaryElement):
     return out
 
 
-def bisector_segment_segment(u: BoundaryElement, v: BoundaryElement):
-    a1, b1 = u.geometry
-    a2, b2 = v.geometry
-    from .geometry import segments_interiors_intersect
-    if segments_interiors_intersect(a1, b1, a2, b2):
-        raise InvalidInputError("segment interiors intersect")
-    branches = _segment_pair_branches(u, v)
-    if not branches:
-        raise InvalidInputError("segment pair admits no interior-foot bisector")
-    return branches[0]
-
-
 def bisector_point_segment(p: BoundaryElement, seg: BoundaryElement):
     px, py = p.geometry
     a, d, L = _seg_frame(seg)

@@ -31,7 +31,8 @@ import numpy as np
 from . import engine
 from .contours import (decompose, parse_scene_text, simplify_polyline,
                        trace_binary_mask)
-from .errors import (InvalidInputError, NonterminationError, ShockGraphError)
+from .errors import (DegenerateInputError, InvalidInputError,
+                     NonterminationError, ShockGraphError)
 from .export import (format_graphml, format_sgtext, read_text, to_document,
                      to_svg)
 from .graph import build_graph
@@ -218,7 +219,7 @@ def _classify(exc: Exception) -> int:
         return EXIT_BUDGET
     if isinstance(exc, InvalidInputError) and "cannot write" in str(exc):
         return EXIT_WRITE
-    if isinstance(exc, (InvalidInputError, ValueError)):
+    if isinstance(exc, (InvalidInputError, DegenerateInputError, ValueError)):
         return EXIT_PARSE
     if isinstance(exc, ShockGraphError):
         return EXIT_INTERNAL

@@ -234,12 +234,20 @@ def decompose(fragments: list[ContourFragment]) -> list[BoundaryElement]:
     vertex_ids: dict[tuple, int] = {}
 
     def vertex_id(p, frag_id):
-        key = (round(p[0] / EPS_GEOM), round(p[1] / EPS_GEOM))
-        if key in vertex_ids:
-            return vertex_ids[key]
+        kx, ky = round(p[0] / EPS_GEOM), round(p[1] / EPS_GEOM)
+        if (kx, ky) in vertex_ids:
+            return vertex_ids[(kx, ky)]
+        # a vertex within EPS_GEOM across a cell boundary is the same one;
+        # two point elements that close have no bisector
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                eid = vertex_ids.get((kx + dx, ky + dy))
+                if eid is not None and \
+                        math.dist(elements[eid].geometry, p) <= EPS_GEOM:
+                    return eid
         eid = len(elements)
         elements.append(BoundaryElement(eid, POINT, (float(p[0]), float(p[1])), frag_id))
-        vertex_ids[key] = eid
+        vertex_ids[(kx, ky)] = eid
         return eid
 
     seg_records = []

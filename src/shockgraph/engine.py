@@ -1,13 +1,16 @@
-"""Event-driven shock propagation over two time-ordered lists.
+"""Event-driven shock propagation over two time-ordered heaps: active shocks
+and shock sources.
 
 Candidate shock sources (one per admissible element pair) are enumerated and
 validity-filtered against the static element set in blocks of element rows
 sized by a pair budget, so the pass holds only one block's arrays and the
-valid candidates, not all element pairs.  The valid candidates are visited
-in time order; active shocks always take priority over candidates.  Each
-active shock is advanced to its first termination: the earliest parameter
-where a third element's wavefront arrives simultaneously (a junction), the
-bisector domain end, or the clipping box.
+valid candidates, not all element pairs.  The valid candidates fill the
+source heap, which also takes back the bisector pieces whose radius minimum
+comes later than their candidate's time (see Engine.run); active shocks
+always take priority over sources.  Each active shock is advanced to its
+first termination: the earliest parameter where a third element's wavefront
+arrives simultaneously (a junction), the bisector domain end, or the
+clipping box.
 
 Termination search is closed form: along every bisector kind the squared
 deficit dist(p, e)^2 - r^2 to a third element e is a quadratic in the
@@ -326,12 +329,12 @@ class ElementSet:
 # Candidates
 # ---------------------------------------------------------------------------
 
-@dataclass(order=True)
-class ShockCandidate:
-    time: float
-    gen_lo: int
-    gen_hi: int
-    branch: int
+# A source is a tuple (time, rank, gen_lo, gen_hi, k).  A fresh candidate has
+# rank _FRESH and k its bisector branch; a re-timed bisector piece has as
+# rank its push sequence number and k its index in the pair's bisector list.
+# Tuple order pops sources by time, then re-timed pieces in push order before
+# fresh candidates, and fresh candidates by (gen_lo, gen_hi, branch).
+_FRESH = _INF
 
 
 # Element pairs per candidate block.  The candidate pass builds about 240
@@ -607,6 +610,7 @@ class Engine:
         self._claimed: dict[tuple, list] = {}
         self._spawned: set = set()
         self._active: list = []
+        self._sources: list = []
         self._seq = itertools.count()
         self.stats = {"elements": n, "candidates": 0, "discarded": 0,
                       "realized": 0, "events": 0, "sweep_truncations": 0,
@@ -838,7 +842,7 @@ class Engine:
         neighbour.  When an element outside the rows touches the start or
         reaches the end, or the sweep finds a missed crossing, propagate
         re-solves the branch against every element (full=True, which
-        replaces the entry)."""
+        replaces the entry and counts in stats["full_solves"])."""
         key = rec.branch_key
         cached = self._root_cache.get(key)
         if cached is None or full:
@@ -849,6 +853,7 @@ class Engine:
             if full:
                 rows = self.eset._all_rows
                 self._full_roots.add(key)
+                self.stats["full_solves"] += 1
             else:
                 rows = self.eset.crossing_rows(*rec.pair)
             self.stats["crossing_rows"] += len(rows[0]) + len(rows[2])
@@ -906,10 +911,9 @@ class Engine:
             # element, and the neighbour rows can leave one out (an element
             # on the parent junction's empty circle whose samples share no
             # face with the generators'): solve the branch against every
-            # element
-            self.stats["full_solves"] += 1
+            # element and trace it again
             self._crossings(rec, full=True)
-            filtered = False
+            return self.propagate(shock)
         # analytic third-wave crossings strictly between the probe and the
         # cap that count as events, in travel order
         params, ids = self._crossings(rec)
@@ -986,7 +990,6 @@ class Engine:
             # the end node (its root may come first by a rounding step):
             # solve the branch against every element, as without a table,
             # and trace it again
-            self.stats["full_solves"] += 1
             self._crossings(rec, full=True)
             return self.propagate(shock)
         if md.min() < -1e-9 * scale:
@@ -1033,10 +1036,11 @@ class Engine:
                                     node.location, node.radius)
         return end_kind
 
-    def _valid_candidates(self) -> list[ShockCandidate]:
+    def _valid_candidates(self) -> list[tuple]:
         """Enumerate and validity-filter candidates one block of element rows
         at a time, keeping only the valid ones, so the pass's arrays hold
-        about _PAIR_BUDGET pairs or distances at a time, not all pairs."""
+        about _PAIR_BUDGET pairs or distances at a time, not all pairs.
+        Returns them as fresh sources (see _FRESH), sorted."""
         rows = max(1, _PAIR_BUDGET // len(self.elements))
         out = []
         every = np.arange(self.eset.n)
@@ -1053,18 +1057,19 @@ class Engine:
                 d[rr, g1[sel]] = _INF
                 d[rr, g2[sel]] = _INF
                 ok[sel] = d.min(axis=1) >= t[sel] - 1e-9
-            out += [ShockCandidate(float(t[k]), int(g1[k]), int(g2[k]),
-                                   int(br[k])) for k in np.nonzero(ok)[0]]
+            out += zip(t[ok].tolist(), itertools.repeat(_FRESH),
+                       g1[ok].tolist(), g2[ok].tolist(), br[ok].tolist())
         self.stats["discarded"] = self.stats["candidates"] - len(out)
         out.sort()
         return out
 
     # -- main loop ---------------------------------------------------------
     def run(self) -> RawGraph:
-        queue = self._valid_candidates()
-        side: list = []  # corrected candidates (clip moved their minimum)
-        qi = 0
-
+        """Propagate until no event is left.  Each event advances the
+        earliest active shock or, when none is active, visits the first
+        source (see _FRESH for the order).  The valid candidates are sorted,
+        so they already form the source heap."""
+        self._sources = self._valid_candidates()
         while True:
             self.events += 1
             if self.events > self.event_budget:
@@ -1073,45 +1078,34 @@ class Engine:
                     diagnostics={"events": self.events,
                                  "nodes": len(self.nodes),
                                  "links": len(self.links),
-                                 "pending_candidates": len(queue) - qi})
+                                 "pending_candidates": len(self._sources)})
             if self._active:
                 _, _, shock = heapq.heappop(self._active)
                 self.propagate(shock)
-                continue
-            nxt = None
-            if side and (qi >= len(queue) or side[0][0] <= queue[qi].time):
-                nxt = heapq.heappop(side)
-            elif qi < len(queue):
-                nxt = queue[qi]
-                qi += 1
-            if nxt is None:
+            elif self._sources:
+                self._visit_candidate(heapq.heappop(self._sources))
+            else:
                 break
-            self._visit_candidate(nxt, side)
 
         self.stats["events"] = self.events
         self.stats["nodes"] = len(self.nodes)
         self.stats["links"] = len(self.links)
         return RawGraph(self.nodes, self.links, dict(self.stats))
 
-    def _visit_candidate(self, cand, side):
-        if isinstance(cand, tuple):
-            time, _, (lo, hi, rec_idx) = cand
-            recs = self._bisectors(lo, hi)
-            if rec_idx >= len(recs):
-                return
-            chosen = [recs[rec_idx]]
-        else:
-            time = cand.time
-            lo, hi = cand.gen_lo, cand.gen_hi
-            recs = self._bisectors(lo, hi)
-            chosen = recs
-        for idx, rec in enumerate(recs):
-            if rec not in chosen:
-                continue
+    def _visit_candidate(self, source):
+        """Realize a source: a fresh candidate tries every bisector piece of
+        its pair, a re-timed piece only itself.  A piece whose radius
+        minimum comes later than the source's time goes back on the source
+        heap at that time."""
+        time, rank, lo, hi, k = source
+        recs = self._bisectors(lo, hi)
+        for idx in range(len(recs)) if rank == _FRESH else (k,):
+            rec = recs[idx]
             s_star = rec.argmin_radius()
             t_star = float(rec.radius(s_star))
             if t_star > time + 1e-9:
-                heapq.heappush(side, (t_star, next(self._seq), (lo, hi, idx)))
+                heapq.heappush(self._sources,
+                               (t_star, next(self._seq), lo, hi, idx))
                 continue
             if self._claimed_at(rec.branch_key, s_star):
                 continue

@@ -235,14 +235,6 @@ def to_svg(graph: ShockGraph, elements: list[BoundaryElement],
 # File helpers
 # ---------------------------------------------------------------------------
 
-def write_text(path, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
-
-
 def read_text(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -277,10 +277,6 @@ class ShockGraph:
     stats: dict = field(default_factory=dict)
     elements: list = field(default_factory=list)  # ids are list positions
 
-    def incident(self, node_id: int):
-        n = self.nodes[node_id]
-        return [self.links[lid] for lid in n.link_ids]
-
     def validate(self) -> None:
         """Raise StructuralError on any violated graph invariant.
 

@@ -12,9 +12,6 @@ dissolved, recovering the shock graph of the underlying smooth contour.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .contours import ContourFragment
@@ -56,12 +53,6 @@ def augment_with_box(fragments: list[ContourFragment],
 # ---------------------------------------------------------------------------
 # Saliency
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SaliencyScore:
-    link_id: int
-    deformation: float  # boundary displacement (px) that erases the link
-
 
 def _is_leaf_node(nid: int, incident: dict, radii: dict) -> bool:
     """A branch tip: a degree-1 node, or a source rooted on the boundary
@@ -126,24 +117,6 @@ def _chain_deformation(leaf_nid: int, first_lid: int, alive: dict,
     else:
         d = max(0.0, r_far - r_leaf)
     return d, run, far
-
-
-def saliency(link: ShockLink, graph: ShockGraph) -> SaliencyScore:
-    """Deformation score of one link in its graph; interior links (links on
-    no leaf branch) score +inf and are never pruned directly."""
-    incident = {nd.id: list(zip(nd.link_ids, nd.outgoing))
-                for nd in graph.nodes}
-    radii = {nd.id: nd.radius for nd in graph.nodes}
-    alive = {ln.id: ln for ln in graph.links}
-    best = math.inf
-    for nd in graph.nodes:
-        if not _is_leaf_node(nd.id, incident, radii):
-            continue
-        for lid, _ in incident[nd.id]:
-            d, run, _ = _chain_deformation(nd.id, lid, alive, incident, radii)
-            if link.id in run:
-                best = min(best, d)
-    return SaliencyScore(link.id, best)
 
 
 # ---------------------------------------------------------------------------

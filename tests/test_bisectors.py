@@ -109,12 +109,6 @@ class TestSegmentSegment:
         recs = make_bisectors(seg(0, (0, 0), (4, 0)), seg(1, (0, 3), (4, 4)))
         assert recs and all(b.kind == KIND_LINE for b in recs)
 
-    def test_crossing_rejected(self):
-        from shockgraph.bisectors import bisector_segment_segment
-        with pytest.raises(InvalidInputError):
-            bisector_segment_segment(seg(0, (0, 0), (4, 4)),
-                                     seg(1, (0, 4), (4, 0)))
-
 
 class TestClipping:
     def test_line_clip(self):

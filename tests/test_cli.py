@@ -2,11 +2,14 @@ import hashlib
 import re
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from shockgraph import cli, engine
-from shockgraph.contours import (check_no_crossings, decompose,
-                                 format_scene_text, simplify_polyline)
+from shockgraph.contours import (ContourFragment, check_no_crossings,
+                                 decompose, format_scene_text,
+                                 simplify_polyline)
+from shockgraph.errors import DegenerateInputError
 from shockgraph.export import to_graphml, to_sgtext
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box, prune
@@ -56,6 +59,24 @@ def test_crossing_scene_is_a_parse_error(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "status=error" in report
     assert re.search(r"segments \d+ and \d+ cross", report)
+
+
+def test_vertices_across_a_key_cell_boundary_are_one_element(tmp_path,
+                                                             capsys):
+    """Two fragment ends 2e-10 px apart, on either side of a boundary of
+    decompose's EPS_GEOM key cells, become one point element; as two, they
+    would be a coincident point pair, which has no bisector."""
+    scene = tmp_path / "straddle.scene"
+    scene.write_text(format_scene_text(20.0, 20.0, [
+        ContourFragment(0, np.array([[5.0, 5.0], [10.0 + 4e-10, 10.0]])),
+        ContourFragment(1, np.array([[10.0 + 6e-10, 10.0], [15.0, 5.0]]))]))
+    assert cli.main([str(scene), "-o", str(tmp_path)]) == cli.EXIT_OK
+    assert "elements=13" in capsys.readouterr().out
+
+
+def test_degenerate_input_is_a_parse_error():
+    assert cli._classify(DegenerateInputError("coincident point pair")) \
+        == cli.EXIT_PARSE
 
 
 def test_missing_file_is_a_parse_error(tmp_path):

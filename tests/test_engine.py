@@ -8,9 +8,9 @@ from scipy.spatial import cKDTree
 
 from shockgraph import engine
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
-                                 check_no_crossings, decompose,
-                                 parse_scene_text, simplify_polyline,
-                                 trace_binary_mask)
+                                 ContourFragment, check_no_crossings,
+                                 decompose, parse_scene_text,
+                                 simplify_polyline, trace_binary_mask)
 from shockgraph.errors import NonterminationError
 from shockgraph.geometry import EPS_REL, Rect
 from shockgraph.graph import build_graph
@@ -429,6 +429,60 @@ def test_each_junction_is_one_raw_node(scene):
         | {ln.node_to for ln in raw.links}
     graph = build_graph(raw, elements)
     assert graph.stats["isolated_dropped"] == len(raw.nodes) - len(linked)
+
+
+def _cluster_above_a_long_segment():
+    """random_scene(6, 1) scaled by 0.01 about the origin and shifted 150 px
+    right and so far down that its lowest vertex lies 0.05 px above an open
+    fragment from (10, 100) to (290, 100), in a 300x200 image boxed at
+    scale 2."""
+    frags, _ = random_scene(6, 1)
+    frags = [ContourFragment(f.id, 0.01 * f.vertices, f.closed)
+             for f in frags]
+    low = min(f.vertices[:, 1].min() for f in frags)
+    frags = [ContourFragment(f.id, f.vertices + (150.0, 100.05 - low),
+                             f.closed) for f in frags]
+    frags.append(ContourFragment(6, np.array([[10.0, 100.0],
+                                              [290.0, 100.0]])))
+    return _boxed(frags, 300, 200)
+
+
+def test_valid_source_outside_the_neighbour_table(monkeypatch):
+    """Candidates come from every element pair, not only from neighbour-table
+    pairs: here cluster point 3 and the long segment 28 share no face of the
+    table's triangulation, yet they pair in a valid source, and raw links
+    105 and 106 grow from it."""
+    elements, rect = _cluster_above_a_long_segment()
+    assert len(elements) == 37
+    assert elements[3].kind == POINT and elements[3].fragment_id == 1
+    assert elements[28].kind == SEGMENT and elements[28].fragment_id == 6
+    raw = engine.run(elements, rect)
+    assert (len(raw.nodes), len(raw.links)) == (90, 119)
+    assert [ln.id for ln in raw.links if ln.bisector.pair == (3, 28)] \
+        == [105, 106]
+    monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", 0)
+    eng = engine.Engine(elements, rect)
+    assert (3, 28) in {src[2:4] for src in eng._valid_candidates()}
+    assert 28 not in eng.eset._nbr[3]
+
+
+@pytest.mark.parametrize("scene, stats", [
+    pytest.param(_hundred_elements, {
+        "elements": 485, "candidates": 96169, "discarded": 95117,
+        "realized": 793, "events": 4592, "sweep_truncations": 0,
+        "crossing_rows": 30024, "full_solves": 0, "nodes": 1264,
+        "links": 1740}, id="hundred"),
+    pytest.param(lambda: _boxed(random_scene(200, 7, width=160.0,
+                                             height=160.0)[0], 160, 160), {
+        "elements": 958, "candidates": 378160, "discarded": 376079,
+        "realized": 1565, "events": 9233, "sweep_truncations": 0,
+        "crossing_rows": 58295, "full_solves": 0, "nodes": 2619,
+        "links": 3568}, id="random200-7")])
+def test_engine_counters_are_pinned(scene, stats):
+    """Every counter of raw.stats on two unsimplified 160x160 random scenes,
+    which the pinned sgtext digests do not cover."""
+    elements, rect = scene()
+    assert engine.run(elements, rect).stats == stats
 
 
 def test_sweep_bisection_truncates_missed_crossings(monkeypatch):

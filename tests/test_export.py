@@ -5,8 +5,7 @@ import pytest
 
 from shockgraph.errors import InvalidInputError
 from shockgraph.export import (format_sgtext, parse_sgtext, read_text,
-                               to_document, to_graphml, to_sgtext, to_svg,
-                               write_text)
+                               to_document, to_graphml, to_sgtext, to_svg)
 from shockgraph.scenes import random_scene
 
 from conftest import build_scene
@@ -48,12 +47,8 @@ class TestSgText:
         graph, _, _, _ = scene
         text = to_sgtext(graph, 100, 100, 1.0, 2.0)
         p = tmp_path / "scene.sg"
-        write_text(p, text)
+        p.write_text(text, encoding="utf-8")
         assert read_text(p) == text
-
-    def test_write_failure_raises(self):
-        with pytest.raises(InvalidInputError):
-            write_text("/nonexistent-dir/out.sg", "x")
 
 
 class TestGraphML:

@@ -3,7 +3,7 @@ import pytest
 
 from shockgraph.contours import ContourFragment
 from shockgraph.errors import InvalidInputError
-from shockgraph.regularize import augment_with_box, prune, saliency
+from shockgraph.regularize import augment_with_box, prune
 from shockgraph.scenes import rectangle_fragment, regular_polygon_fragment
 
 from conftest import build_scene
@@ -67,12 +67,3 @@ class TestPrune:
         twice = prune(once, elements, lam=1.0, box_fragment_id=box_fid)
         assert len(once.links) == len(twice.links)
         assert len(once.nodes) == len(twice.nodes)
-
-
-class TestSaliency:
-    def test_scores_nonnegative_interior_infinite(self, rectangle_scene):
-        graph, _, _, _ = rectangle_scene
-        scores = [saliency(ln, graph).deformation for ln in graph.links]
-        assert all(s >= 0.0 for s in scores)
-        # interior links (on no leaf branch) score +inf by design
-        assert any(np.isfinite(s) for s in scores)
