@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..contours import check_no_crossings, decompose, parse_scene_text
+from ..contours import decompose, parse_scene_text
 from ..engine import run
 from ..errors import InvalidInputError
 from ..graph import build_graph
@@ -65,7 +65,6 @@ def _run_scene(golden: GoldenScene):
     width, height, frags = parse_scene_text(_read(golden.scene_file))
     frags, rect, box_fid = augment_with_box(frags, width, height)
     elements = decompose(frags)
-    check_no_crossings(elements)
     graph = build_graph(run(elements, rect), elements, scene=(width, height))
     graph = prune(graph, elements, lam=golden.lam, box_fragment_id=box_fid)
     box_ids = {e.id for e in elements if e.fragment_id == box_fid}

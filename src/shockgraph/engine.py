@@ -524,12 +524,6 @@ class RawLink:
     node_to: int
     end_kind: str    # "junction" | "boxexit" | "domain"
 
-    @property
-    def length(self):
-        """Arc length of the traversed portion."""
-        s_of_t = self.bisector.s_of_t
-        return abs(float(s_of_t(self.t_to)) - float(s_of_t(self.t_from)))
-
 
 @dataclass
 class RawGraph:

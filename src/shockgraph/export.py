@@ -24,7 +24,7 @@ import numpy as np
 
 from .contours import SEGMENT, BoundaryElement
 from .errors import InvalidInputError
-from .features import FEATURE_LENGTH, edge_features, node_features
+from .features import FEATURE_LENGTH, graph_features
 from .graph import LINK_LABEL_CODES, LINK_SAMPLES, ShockGraph
 
 COLOR_CONTOUR = "#FF0000"
@@ -76,15 +76,14 @@ class SgDocument:
 def to_document(graph: ShockGraph, width: float, height: float,
                 lam: float, bbox_scale: float) -> SgDocument:
     doc = SgDocument(width, height, lam, bbox_scale)
+    nf, ef = graph_features(graph)
     for nd in graph.nodes:
-        vec = node_features(nd, graph).values
         doc.nodes.append(SgNode(nd.id, nd.label, nd.location[0],
-                                nd.location[1], nd.radius, vec))
+                                nd.location[1], nd.radius, nf[nd.id]))
+    metrics = np.delete(ef, 3, axis=1)  # label kept as string
     for ln in graph.links:
-        ev = edge_features(ln).values
-        metrics = np.concatenate([ev[:3], ev[4:]])  # label kept as string
         doc.links.append(SgLink(ln.id, ln.from_node, ln.to_node, ln.label,
-                                metrics, ln.sample_points(LINK_SAMPLES)))
+                                metrics[ln.id], ln.sample_points(LINK_SAMPLES)))
     return doc
 
 

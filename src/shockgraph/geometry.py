@@ -5,8 +5,6 @@ are in pixels.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Coincidence tolerance for input geometry (pixels).
@@ -19,13 +17,6 @@ EPS_MERGE = 1e-6
 EPS_REL = 1e-6
 # Supporting lines closer than this angle (radians) are treated as parallel.
 PARALLEL_EPS = 1e-7
-
-
-def unit(v):
-    n = math.hypot(v[0], v[1])
-    if n < EPS_GEOM:
-        raise ZeroDivisionError("cannot normalize near-zero vector")
-    return np.array([v[0] / n, v[1] / n])
 
 
 def perp(v):

@@ -6,9 +6,11 @@ leaf-side link is scored by the amount of boundary deformation needed to
 erase it: for a branch rooted at a convex corner the score is the distance
 from the corner vertex to the inscribed arc of radius r_tip (the branch
 disappears once the corner is rounded that much); for other leaves it is the
-radius gained from tip to interior end. Links scoring at most lambda are
-removed iteratively and the surviving degree-2 flow-through nodes are
-dissolved, recovering the shock graph of the underlying smooth contour.
+radius gained from tip to interior end. Pruning runs in rounds: each round
+removes the leaf links scoring at most lambda and re-assembles the rest
+(graph.assemble), which dissolves the flow-through nodes the removal
+exposed, so the next round scores whole branches again. At the fixed point
+the graph is the shock graph of the underlying smooth contour.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 from .contours import ContourFragment
 from .errors import InvalidInputError
 from .geometry import Rect
-from .graph import ShockGraph, ShockLink, assemble
+from .graph import ShockGraph, ShockLink, ShockNode, assemble
 
 _CORNER_RADIUS_EPS = 1e-7   # leaf radii below this count as boundary-rooted
 _PRUNE_SLACK = 1e-12
@@ -54,51 +56,29 @@ def augment_with_box(fragments: list[ContourFragment],
 # Saliency
 # ---------------------------------------------------------------------------
 
-def _is_leaf_node(nid: int, incident: dict, radii: dict) -> bool:
+def _is_leaf_node(node: ShockNode) -> bool:
     """A branch tip: a degree-1 node, or a source rooted on the boundary
     (radius ~ 0, i.e. a polyline vertex). Positive-radius degree >= 2
     sources are local radius minima in the middle of a shock curve, not
     tips: the curve continues through them."""
-    inc = incident[nid]
-    if not inc:
+    if not node.link_ids:
         return False
-    if len(inc) == 1:
+    if len(node.link_ids) == 1:
         return True
-    return all(out for _, out in inc) and radii[nid] <= _CORNER_RADIUS_EPS
+    return all(node.outgoing) and node.radius <= _CORNER_RADIUS_EPS
 
 
-def _leaf_chain(leaf_nid: int, first_lid: int, alive: dict, incident: dict):
-    """Maximal run of links from a leaf through 1-in/1-out nodes.
+def _deformation(link: ShockLink, out: bool, r_leaf: float,
+                 r_far: float) -> float:
+    """Boundary deformation that erases a link from its leaf end, its from
+    node if out, else its to node; r_leaf and r_far are the radii of the
+    leaf and far end nodes.
 
-    Branches are scored and removed as whole chains up to the first real
-    node (junction, multi-way source/sink, or head-on degree-2 meeting);
-    per-link scoring would nibble a long real branch away in increments
-    that each clear the threshold even when the branch as a whole does not.
-
-    Returns (link ids, far node id)."""
-    run = []
-    cur_l, cur_n = first_lid, leaf_nid
-    seen = set()
-    while True:
-        run.append(cur_l)
-        seen.add(cur_l)
-        ln = alive[cur_l]
-        nxt = ln.to_node if ln.from_node == cur_n else ln.from_node
-        inc = incident[nxt]
-        if len(inc) != 2 or sum(1 for _, out in inc if out) != 1:
-            break
-        other = [lid for lid, _ in inc if lid != cur_l]
-        if not other or other[0] in seen:
-            break
-        cur_l, cur_n = other[0], nxt
-    return run, nxt
-
-
-def _chain_deformation(leaf_nid: int, first_lid: int, alive: dict,
-                       incident: dict, radii: dict):
-    """(deformation, chain link ids, far node id) for one leaf branch."""
-    run, far = _leaf_chain(leaf_nid, first_lid, alive, incident)
-    r_leaf, r_far = radii[leaf_nid], radii[far]
+    In an assembled graph a link runs from node to real node (junction,
+    multi-way source/sink, or head-on degree-2 meeting), so a whole branch
+    is scored at once; scoring raw links would nibble a long real branch
+    away in increments that each clear the threshold even when the branch
+    as a whole does not."""
     if r_leaf <= _CORNER_RADIUS_EPS * max(1.0, r_far):
         # Rooted on the boundary at a convex corner: r grows as sin(psi)
         # per unit arc length along the bisector, psi the half corner angle.
@@ -106,17 +86,31 @@ def _chain_deformation(leaf_nid: int, first_lid: int, alive: dict,
         # generate the shock, i.e. up to the first generator transition
         # (end of the first bisector piece); beyond it the branch is part
         # of the underlying axis and costs its full radius gain.
-        ln = alive[first_lid]
-        out = ln.from_node == leaf_nid
-        end = ln.end(out)
+        end = link.end(out)
         p = end.piece
         r_corner = min(float(p.bisector.radius(p.t1 if out else p.t0)), r_far)
         sin_psi = min(1.0, max(0.0, end.dradius()))
-        d = (r_corner * (1.0 - sin_psi) / max(sin_psi, 1e-9)
-             + max(0.0, r_far - r_corner))
-    else:
-        d = max(0.0, r_far - r_leaf)
-    return d, run, far
+        return (r_corner * (1.0 - sin_psi) / max(sin_psi, 1e-9)
+                + max(0.0, r_far - r_corner))
+    return max(0.0, r_far - r_leaf)
+
+
+def _leaf_links(graph: ShockGraph, lam: float) -> dict:
+    """Every link at a leaf whose deformation is at most lam, mapped to its
+    far end node. Leaves are visited by node id, then in incident order,
+    and the first visit of a link decides its far end."""
+    doomed = {}
+    for nd in graph.nodes:
+        if not _is_leaf_node(nd):
+            continue
+        for lid, out in zip(nd.link_ids, nd.outgoing):
+            ln = graph.links[lid]
+            far = ln.to_node if out else ln.from_node
+            if lid not in doomed and _deformation(
+                    ln, out, nd.radius,
+                    graph.nodes[far].radius) <= lam + _PRUNE_SLACK:
+                doomed[lid] = far
+    return doomed
 
 
 # ---------------------------------------------------------------------------
@@ -132,74 +126,65 @@ def _is_box_side(link: ShockLink, box_elem_ids: set) -> bool:
     return False
 
 
+def _without(graph: ShockGraph, doomed: dict, elements) -> ShockGraph:
+    """graph re-assembled without the doomed links, given as link id -> far
+    end node (or None) in removal order.
+
+    A node the removal leaves link-less survives as an isolated collapse
+    sink only if it is the far end of the last removed link that touched
+    it; isolated sinks of graph survive as they are."""
+    order = {lid: i for i, lid in enumerate(doomed)}
+    sinks = set()
+    for nd in graph.nodes:
+        if all(lid in order for lid in nd.link_ids) and (
+                not nd.link_ids
+                or doomed[max(nd.link_ids, key=order.get)] == nd.id):
+            sinks.add(nd.id)
+    return assemble([(ln.id, ln.from_node, ln.to_node, ln.pieces)
+                     for ln in graph.links if ln.id not in order],
+                    graph.nodes, elements, graph.stats,
+                    keep_isolated=sinks, scene=graph.scene)
+
+
 def prune(graph: ShockGraph, elements, lam: float = 1.0,
           drop_box_links: bool = False,
           box_fragment_id: int | None = None) -> ShockGraph:
-    """Iteratively remove leaf-side links with deformation <= lam until a
-    fixed point, then dissolve the exposed flow-through nodes.
+    """Remove leaf links with deformation <= lam, round by round, until a
+    fixed point; returns a new graph.
+
+    Each round scores every leaf link of the current graph, removes those
+    at most lam in one batch, and re-assembles the rest, so a node that
+    the batch leaves flow-through is dissolved and its two links are one
+    composite link, a whole branch, when the next round scores them.
+    Scoring the whole batch before removing any of it keeps a link from
+    being priced through a node that only became flow-through within the
+    round, with another leaf's corner formula.
 
     With drop_box_links, links whose contact on either side is generated
     purely by the bounding box (including box-box corner shocks) are removed
-    first; by default they are retained.
+    first, as a round of their own; by default they are retained.
+    stats["pruned_links"] counts the links of graph that the leaf rounds
+    removed.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    alive = {ln.id: ln for ln in graph.links}
-    incident = {nd.id: [] for nd in graph.nodes}
-    for ln in graph.links:
-        incident[ln.from_node].append((ln.id, True))
-        incident[ln.to_node].append((ln.id, False))
-
-    # isolated collapse sinks from an earlier prune pass survive verbatim
-    collapse_sinks: set = {nd.id for nd in graph.nodes if not nd.link_ids}
-
-    def remove(lid, keep_node=None):
-        """Remove a link; a node left link-less survives as an isolated
-        collapse sink only if it is keep_node (the link's interior end)."""
-        ln = alive.pop(lid)
-        for nid in (ln.from_node, ln.to_node):
-            incident[nid] = [e for e in incident[nid] if e[0] != lid]
-            if not incident[nid] and nid == keep_node:
-                collapse_sinks.add(nid)
-
-    dropped_box = 0
+    box = {}
     if drop_box_links:
         if box_fragment_id is None:
             raise ValueError("drop_box_links requires box_fragment_id")
         box_ids = {e.id for e in elements
                    if e.fragment_id == box_fragment_id}
-        for lid in sorted(alive):
-            if _is_box_side(alive[lid], box_ids):
-                remove(lid)
-                dropped_box += 1
-
-    radii = {nd.id: nd.radius for nd in graph.nodes}
-    pruned = 0
-    changed = True
-    while changed:
-        changed = False
-        # Score every leaf chain against the state at the start of the
-        # round, then remove in a batch.  Applying removals immediately
-        # would let a later chain walk through a node that only became
-        # flow-through within this round and price real axis segments
-        # with another leaf's corner formula.
-        batch = []
-        for nid in sorted(incident):
-            if not _is_leaf_node(nid, incident, radii):
-                continue
-            for lid, _ in incident[nid]:
-                d, run, far = _chain_deformation(nid, lid, alive,
-                                                 incident, radii)
-                if d <= lam + _PRUNE_SLACK:
-                    batch.append((run, far))
-        for run, far in batch:
-            for rid in run:
-                if rid in alive:
-                    remove(rid, keep_node=far)
-                    pruned += 1
-                    changed = True
-    stats = {**graph.stats, "pruned_links": pruned,
-             "dropped_box_links": dropped_box, "lambda": lam}
-    return assemble([(ln.id, ln.from_node, ln.to_node, ln.pieces)
-                     for ln in alive.values()], graph.nodes, elements, stats,
-                    keep_isolated=collapse_sinks, scene=graph.scene)
+        box = {ln.id: None for ln in graph.links
+               if _is_box_side(ln, box_ids)}
+    # the box links, when there are any, are the first round's removal set
+    out = _without(graph, box or _leaf_links(graph, lam), elements)
+    while doomed := _leaf_links(out, lam):
+        out = _without(out, doomed, elements)
+    # links are removed whole, so a link of graph survives iff its first
+    # piece does
+    kept = {id(p) for ln in out.links for p in ln.pieces}
+    survivors = sum(id(ln.pieces[0]) in kept for ln in graph.links)
+    out.stats = {**graph.stats,
+                 "pruned_links": len(graph.links) - len(box) - survivors,
+                 "dropped_box_links": len(box), "lambda": lam}
+    return out
