@@ -4,13 +4,17 @@ and shock sources.
 Candidate shock sources (one per admissible element pair) are enumerated and
 validity-filtered against the static element set in blocks of element rows
 sized by a pair budget, so the pass holds only one block's arrays and the
-valid candidates, not all element pairs.  The valid candidates fill the
-source heap, which also takes back the bisector pieces whose radius minimum
-comes later than their candidate's time (see Engine.run); active shocks
-always take priority over sources.  Each active shock is advanced to its
-first termination: the earliest parameter where a third element's wavefront
-arrives simultaneously (a junction), the bisector domain end, or the
-clipping box.
+valid candidates, not all element pairs.  The filter has three stages, and
+each drops only candidates it proves invalid: a per-cell distance bound,
+one array lookup per candidate (ElementSet.cell_bound), drops most; kd-tree
+queries of the element samples (ElementSet.maybe_valid) drop most of the
+rest; exact distances to every element decide the survivors.  The valid
+candidates fill the source heap, which also takes back the bisector pieces
+whose radius minimum comes later than their candidate's time (see
+Engine.run); active shocks always take priority over sources.  Each active
+shock is advanced to its first termination: the earliest parameter where a
+third element's wavefront arrives simultaneously (a junction), the bisector
+domain end, or the clipping box.
 
 Termination search is closed form: along every bisector kind the squared
 deficit dist(p, e)^2 - r^2 to a third element e is a quadratic in the
@@ -88,6 +92,12 @@ class ElementSet:
     SAMPLE_STEP apart, so any point of an element lies within SAMPLE_STEP/2 of
     a sample; the candidates it returns are then tested exactly.
 
+    A uniform grid over the samples' box, about one cell per element, holds
+    for each cell an upper bound on the distance from any point of the cell
+    to samples of three distinct elements (see _cell_grid); cell_bound reads
+    it, so the candidate pass can drop most invalid candidates before
+    maybe_valid's kd-tree queries.  The grid costs O(n) memory.
+
     Sets of at least _NEIGHBOUR_MIN_ELEMENTS elements also build a neighbour
     table once, from a Delaunay triangulation of samples TRI_STEP apart (see
     _neighbour_table); crossing_rows gives a branch the neighbours of its
@@ -101,6 +111,8 @@ class ElementSet:
     # table: coarser than the kd-tree's, because Qhull is slow on the long
     # collinear runs of box-side samples
     TRI_STEP = 2.0
+    # nearest samples of a cell centre that cell_bound's grid reads
+    CELL_K = 16
 
     def __init__(self, elements: list[BoundaryElement]):
         self.n = len(elements)
@@ -126,6 +138,7 @@ class ElementSet:
         self._all_rows = (pid, self._cols[:, pid], sid, self._cols[:, sid])
         xy, self._sample_eid = self._samples(self.SAMPLE_STEP)
         self._tree = cKDTree(xy)
+        self._cell_lo, self._cell_side, self._cell_d3 = self._cell_grid(xy)
         self._nbr = None
         if self.n >= _NEIGHBOUR_MIN_ELEMENTS:
             self._nbr = self._neighbour_table(*self._samples(self.TRI_STEP))
@@ -141,6 +154,50 @@ class ElementSet:
             xs.append(np.column_stack([ax + t * dx, ay + t * dy]))
             eids.append(np.full(m, k, dtype=int))
         return np.vstack(xs), np.concatenate(eids)
+
+    def _cell_grid(self, xy):
+        """The grid behind cell_bound, as (lower corner, cell side, D3):
+        square cells over the box of the samples xy, about one per element,
+        and for each cell D3, the distance from its centre to the nearest
+        sample of the third distinct element among the centre's CELL_K
+        nearest samples, plus the cell's half-diagonal; +inf where those
+        samples hold fewer than 3 elements, and on a border of cells around
+        the grid."""
+        lo = xy.min(axis=0)
+        w, h = (xy.max(axis=0) - lo).tolist()
+        # a zero-area box (collinear samples) falls back to its length
+        side = max(math.sqrt(w * h / self.n), max(w, h) / self.n)
+        if not 0.0 < side < _INF:
+            side = 1.0
+        nx, ny = int(w // side) + 1, int(h // side) + 1
+        cx = lo[0] + (np.arange(nx) + 0.5) * side
+        cy = lo[1] + (np.arange(ny) + 0.5) * side
+        centres = np.column_stack([np.repeat(cx, ny), np.tile(cy, nx)])
+        k = min(self.CELL_K, len(xy))
+        ds, idx = self._tree.query(centres, k=k)
+        ds, eids = ds.reshape(-1, k), self._sample_eid[idx].reshape(-1, k)
+        # a sample is the first of its element when no nearer one shares it
+        seen = ((eids[:, :, None] == eids[:, None, :])
+                & np.tri(k, k, -1, dtype=bool)).any(axis=2)
+        third = np.cumsum(~seen, axis=1) >= 3
+        d3 = ds[np.arange(len(ds)), third.argmax(axis=1)] \
+            + side * math.sqrt(0.5)
+        grid = np.full((nx + 2, ny + 2), _INF)
+        grid[1:-1, 1:-1] = np.where(third[:, -1], d3, _INF).reshape(nx, ny)
+        return lo, side, grid
+
+    def cell_bound(self, locs):
+        """(K,) upper bound on the distance from each of locs (K, 2) to some
+        sample of each of three distinct elements, from the grid cell it
+        lies in (see _cell_grid); +inf outside the grid.  At most two of
+        those elements generate a candidate, so a candidate at a bound below
+        its formation time has a non-generator sample closer than that time:
+        it is invalid by the argument maybe_valid relies on."""
+        q = np.floor((locs - self._cell_lo) / self._cell_side)
+        # a location outside the grid, or not finite, clips to the border
+        with np.errstate(invalid="ignore"):
+            i = np.clip(q.astype(int), -1, np.array(self._cell_d3.shape) - 2)
+        return self._cell_d3[i[:, 0] + 1, i[:, 1] + 1]
 
     def _neighbour_table(self, xy, eid):
         """Element neighbours as one id set per element id: a and b
@@ -299,7 +356,8 @@ class ElementSet:
         element lies closer than the formation time.  A sample's distance
         bounds its element's distance from above, so False proves the
         candidate invalid.  The nearest sample settles almost every
-        candidate; the rest are checked against their 8 nearest."""
+        candidate; the rest are checked against their 8 nearest.  The
+        candidate pass asks only about the candidates cell_bound keeps."""
         ds, idx = self._tree.query(locs, k=1, workers=-1)
         eids = self._sample_eid[idx]
         alive = (eids == g1) | (eids == g2) | (ds >= times - 1e-9)
@@ -1041,8 +1099,13 @@ class Engine:
         for t, x, y, g1, g2, br in _candidate_blocks(self.elements, rows):
             self.stats["candidates"] += len(t)
             locs = np.column_stack([x, y])
-            # exact validation of the survivors of the sample prefilter
-            surv = np.nonzero(self.eset.maybe_valid(locs, t, g1, g2))[0]
+            # the cell bound drops most candidates, maybe_valid's sample
+            # queries more, and the survivors are validated exactly; the
+            # bound's margin is maybe_valid's 1e-9 and 1e-9 for the rounding
+            # of a candidate's cell
+            near = np.nonzero(~(self.eset.cell_bound(locs) < t - 2e-9))[0]
+            surv = near[self.eset.maybe_valid(locs[near], t[near], g1[near],
+                                              g2[near])]
             ok = np.zeros(len(t), dtype=bool)
             for lo in range(0, len(surv), rows):
                 sel = surv[lo:lo + rows]

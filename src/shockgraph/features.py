@@ -80,8 +80,12 @@ def _boundary_tangent(elements: list, gid: int) -> float:
     return math.atan2(by - ay, bx - ax)
 
 
-def node_features(node: ShockNode, graph: ShockGraph) -> NodeFeatureVector:
+def node_features(node: ShockNode, graph: ShockGraph,
+                  ef: np.ndarray | None = None) -> NodeFeatureVector:
     """58-entry feature vector of a node in its graph (see module docstring).
+    ef is the graph's edge feature matrix, one row per link id, as
+    graph_features builds it; without it each incident link's edge vector
+    is built here.
 
     Raises FeatureOverflowError above degree 4: the fixed layout has no slot
     for a fifth incident link.
@@ -116,7 +120,8 @@ def node_features(node: ShockNode, graph: ShockGraph) -> NodeFeatureVector:
         bx, by = end.contacts()[0]
         gen_plus = end.piece.side_generators()[0]
         bps[i] = (bx, by, _boundary_tangent(graph.elements, gen_plus))
-        edges[i] = edge_features(graph.links[lid]).values
+        edges[i] = (edge_features(graph.links[lid]).values if ef is None
+                    else ef[lid])
 
     block = np.concatenate([
         [node.location[0], node.location[1], node.radius,
@@ -130,11 +135,12 @@ def node_features(node: ShockNode, graph: ShockGraph) -> NodeFeatureVector:
 
 
 def graph_features(graph: ShockGraph):
-    """(node feature matrix, edge feature matrix) for a whole graph."""
-    nf = np.zeros((len(graph.nodes), FEATURE_LENGTH))
-    for nd in graph.nodes:
-        nf[nd.id] = node_features(nd, graph).values
+    """(node feature matrix, edge feature matrix) for a whole graph.  Each
+    link's edge vector is built once, and the node vectors read its row."""
     ef = np.zeros((len(graph.links), 8))
     for ln in graph.links:
         ef[ln.id] = edge_features(ln).values
+    nf = np.zeros((len(graph.nodes), FEATURE_LENGTH))
+    for nd in graph.nodes:
+        nf[nd.id] = node_features(nd, graph, ef).values
     return nf, ef

@@ -317,6 +317,71 @@ def test_candidate_pass_memory_slope():
     assert slope <= 1.5, f"candidate-pass peak memory slope {slope:.2f}"
 
 
+def _moved_random6(seed, scale, shift):
+    """random_scene(6, seed) boxed in a 100x100 image, then scaled about the
+    origin by scale and shifted by shift in x and y, box included."""
+    frags, rect, _ = augment_with_box(random_scene(6, seed)[0], 100, 100)
+    frags = [ContourFragment(f.id, scale * f.vertices + shift, f.closed)
+             for f in frags]
+    return decompose(frags), Rect(*(scale * v + shift for v in (
+        rect.xmin, rect.ymin, rect.xmax, rect.ymax)))
+
+
+@pytest.mark.parametrize("scene", [
+    pytest.param(_hundred_elements, id="hundred")]
+    + [pytest.param(lambda n=n: _mask_scene(_masks_workload_mask(n)),
+                    id=f"mask-{n}") for n in ("disc", "ring")]
+    + [pytest.param(lambda: _boxed([regular_polygon_fragment(64)], 10, 10),
+                    id="64-gon")]
+    + [pytest.param(lambda s=s, m=m: _moved_random6(s, *m),
+                    id=f"random6-{s}-{name}")
+       for s in range(5)
+       for name, m in (("shift1e5", (1.0, 1e5)), ("scale1e-3", (1e-3, 0.0)),
+                       ("scale1e3", (1e3, 0.0)))]
+    + [pytest.param(lambda: _bare_points([(-1.0, 0.0), (1.0, 0.0)]),
+                    id="two-points"),
+       pytest.param(lambda: _bare_points([(0.0, 0.0), (4.0, 0.0),
+                                          (2.0, 3.0)]),
+                    id="three-points"),
+       pytest.param(lambda: _bare_points([(0.0, 0.0), (1.0, 0.0), (2.5, 0.0),
+                                          (4.0, 0.0), (7.0, 0.0)]),
+                    id="collinear-points")])
+def test_cell_bound_drops_only_what_maybe_valid_drops(scene, monkeypatch):
+    """Every candidate the cell bound drops, maybe_valid drops too, and the
+    candidate pass keeps the valid list it gives without the bound:
+    on offset, tiny and huge coordinates, on sets with fewer than three
+    elements near a cell, and on a sample box of zero area."""
+    elements, rect = scene()
+    eng = engine.Engine(elements, rect)
+    rows = max(1, engine._PAIR_BUDGET // len(elements))
+    for t, x, y, g1, g2, _ in engine._candidate_blocks(elements, rows):
+        locs = np.column_stack([x, y])
+        dropped = eng.eset.cell_bound(locs) < t - 2e-9
+        assert not (dropped & eng.eset.maybe_valid(locs, t, g1, g2)).any()
+    with_bound = eng._valid_candidates()
+    monkeypatch.setattr(engine.ElementSet, "cell_bound",
+                        lambda self, locs: np.full(len(locs), math.inf))
+    assert engine.Engine(elements, rect)._valid_candidates() == with_bound
+
+
+def test_cell_bound_spares_most_sample_queries(monkeypatch):
+    """On the 100-fragment 160x160 scene fewer than half of the candidates
+    reach maybe_valid's kd-tree queries (22,400 of 96,169 when the bound
+    was written): the rest are dropped by their cell's bound."""
+    rows_queried = []
+    maybe_valid = engine.ElementSet.maybe_valid
+
+    def counted(self, locs, *args):
+        rows_queried.append(len(locs))
+        return maybe_valid(self, locs, *args)
+
+    monkeypatch.setattr(engine.ElementSet, "maybe_valid", counted)
+    eng = engine.Engine(*_hundred_elements())
+    eng._valid_candidates()
+    assert eng.stats["candidates"] == 96169
+    assert sum(rows_queried) < eng.stats["candidates"] / 2
+
+
 def _raw_dump(raw):
     """Every node and link field of a raw graph, and its stats but the
     crossing_rows and full_solves counters, as plain values."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shockgraph import features
 from shockgraph.errors import FeatureOverflowError
 from shockgraph.features import (FEATURE_LENGTH, PREFIX_LENGTH, edge_features,
                                  graph_features, node_features)
@@ -66,6 +67,24 @@ class TestGraphFeatures:
         nf, ef = graph_features(graph)
         assert nf.shape == (len(graph.nodes), FEATURE_LENGTH)
         assert ef.shape == (len(graph.links), 8)
+
+    def test_edge_vectors_built_once(self, scene, monkeypatch):
+        """graph_features builds each link's edge vector once, and its node
+        rows equal node_features building the incident edge vectors itself."""
+        graph, _, _, _ = scene
+        built = []
+
+        def counted(link):
+            built.append(link.id)
+            return edge_features(link)
+
+        monkeypatch.setattr(features, "edge_features", counted)
+        nf, ef = graph_features(graph)
+        assert sorted(built) == list(range(len(graph.links)))
+        monkeypatch.undo()
+        for nd in graph.nodes:
+            assert nf[nd.id].tolist() == \
+                node_features(nd, graph).values.tolist()
 
 
 class TestNodeDescriptor:
