@@ -19,6 +19,7 @@ budget exceeded, 5 internal structural error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -62,10 +63,15 @@ class RunConfig:
     event_budget: int | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
+        # each test is written so that NaN fails it
+        if not self.lam >= 0:
             raise InvalidInputError("lambda must be >= 0")
-        if self.bbox_scale <= 1:
-            raise InvalidInputError("bbox scale must be > 1")
+        if not 1 < self.bbox_scale < math.inf:
+            raise InvalidInputError("bbox scale must be finite and > 1")
+        if not self.polyline_epsilon >= 0:
+            raise InvalidInputError("epsilon must be >= 0")
+        if not self.formats:
+            raise InvalidInputError("no output format given")
         bad = [f for f in self.formats if f not in FORMATS]
         if bad:
             raise InvalidInputError(f"unknown output format(s): {bad}")

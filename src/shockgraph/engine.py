@@ -1,17 +1,14 @@
 """Event-driven shock propagation over two time-ordered heaps: active shocks
 and shock sources.
 
-Candidate shock sources (one per admissible element pair) are enumerated and
-validity-filtered against the static element set in blocks of element rows
-sized by a pair budget, so the pass holds only one block's arrays and the
-valid candidates, not all element pairs.  The filter has three stages, and
-each drops only candidates it proves invalid: a per-cell distance bound,
-one array lookup per candidate (ElementSet.cell_bound), drops most; kd-tree
-queries of the element samples (ElementSet.maybe_valid) drop most of the
-rest; exact distances to every element decide the survivors.  The valid
-candidates fill the source heap, which also takes back the bisector pieces
-whose radius minimum comes later than their candidate's time (see
-Engine.run); active shocks always take priority over sources.  Each active
+One table, ElementSet's grid of cell balls, says which elements can matter
+where; it is sound by construction, so nothing downstream checks or repairs
+it.  Candidate shock sources are formed only for the element pairs that
+share a ball, in slices of about _PAIR_BUDGET pairs, and validated exactly
+against their cell's ball (ElementSet.valid_sources).  The valid candidates
+fill the source heap, which also takes back the bisector pieces whose
+radius minimum comes later than their candidate's time (see Engine.run);
+active shocks always take priority over sources.  Each active
 shock is advanced to its first termination: the earliest parameter where a
 third element's wavefront arrives simultaneously (a junction), the bisector
 domain end, or the clipping box.
@@ -20,26 +17,17 @@ Termination search is closed form: along every bisector kind the squared
 deficit dist(p, e)^2 - r^2 to a third element e is a quadratic in the
 bisector's natural parameter t (arc length for the straight kinds, the
 directrix coordinate xi for parabolas), so each element's first simultaneous
-arrival is a quadratic root (see _crossing_params).  A branch solves these
-quadratics only against the neighbours of its two generators: elements with
-samples on a common face of the Delaunay subdivision of the element samples
-(the sampled-Voronoi neighbourhood of the medial axis), which serves only
-as a filter.  Scenes smaller than _NEIGHBOUR_MIN_ELEMENTS, and sample sets
-Qhull cannot triangulate, solve against every element.  The roots are
-solved once per bisector branch and cached, trimmed to the hull of the
-branch's piece domains, outside which propagation reads none.  The engine
-works in t throughout, and raw links record t.
+arrival is a quadratic root (see _crossing_params).  A branch of generators
+g1, g2 solves these quadratics against the elements that share a ball with
+both (ElementSet.crossing_rows), which hold every element that can end a
+link of the branch, touch its start or meet its end.  The roots are solved
+once per bisector branch and cached, trimmed to the hull of the branch's
+piece domains, outside which propagation reads none.  The engine works in t
+throughout, and raw links record t.
 
-A validity sweep of exact distances to every element at interior samples of
-every traced link catches a missed crossing.  On a link traced with
-neighbour rows the sweep also checks the link's end.  Any sign that the
-rows are incomplete -- an element outside them touching the shock's start
-(the contact transition test there reads its roots) or reaching the end
-node, or a sweep miss -- has one answer: the branch is solved again against
-every element (stats["full_solves"]), so the link is the one the
-all-elements solve gives.  On a branch solved against every element the
-sweep truncates the link at a miss by bisection instead;
-stats["sweep_truncations"] counts those.
+A validity sweep of exact distances at interior samples of every traced
+link is the numerical backstop: it truncates a link at a missed crossing by
+bisection (stats["sweep_truncations"]).
 
 Engine._node_at makes every raw node, and realizes each junction once (see
 there).  A link whose end joins its own start node is slack: propagate
@@ -55,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 # scipy.spatial imports scipy.sparse itself; importing scipy.sparse first
 # made a fresh `import shockgraph.cli` about 15 ms (6%) slower
-from scipy.spatial import Delaunay, QhullError, cKDTree
-from scipy.sparse import coo_matrix
+from scipy.spatial import cKDTree
+from scipy.sparse import csr_matrix
 
 from .bisectors import (Bisector, MidlineBisector, ParabolaBisector,
                         PointPointBisector, _LineLike, _segment_pair_branches,
@@ -72,17 +60,20 @@ _INF = math.inf
 # Vectorized distances over the element set
 # ---------------------------------------------------------------------------
 
-# Element sets smaller than this build no neighbour table, and every branch
-# solves its crossings against all elements: below it, building the table
-# and gathering each branch's rows cost about what the dropped rows save
-# (traced masks of 46-164 elements ran 2-4% slower with the table), and
-# above it the table is faster.  It is the measured crossover of engine.run
-# on random scenes of 100-400 elements.
-_NEIGHBOUR_MIN_ELEMENTS = 250
+def _third_distance(ds, eids):
+    """Per row of ds (K, k), distances in ascending order to samples of the
+    elements eids (K, k): the distance at which a third distinct element
+    first appears, +inf where the row holds fewer than three."""
+    rows = np.arange(len(ds))
+    second = eids != eids[:, :1]
+    e2 = eids[rows, second.argmax(axis=1)]
+    third = second & (eids != e2[:, None])
+    return np.where(third.any(axis=1), ds[rows, third.argmax(axis=1)], _INF)
 
 
 class ElementSet:
-    """Array view of the boundary elements with open-segment distances.
+    """Array view of the boundary elements with open-segment distances, and
+    the table that says which elements can matter where.
 
     Open-segment distance is +inf when the perpendicular foot is not strictly
     interior; the segment's endpoint PointSources own those regions, so the
@@ -92,29 +83,56 @@ class ElementSet:
     SAMPLE_STEP apart, so any point of an element lies within SAMPLE_STEP/2 of
     a sample; the candidates it returns are then tested exactly.
 
-    A uniform grid over the samples' box, about one cell per element, holds
-    for each cell an upper bound on the distance from any point of the cell
-    to samples of three distinct elements (see _cell_grid); cell_bound reads
-    it, so the candidate pass can drop most invalid candidates before
-    maybe_valid's kd-tree queries.  The grid costs O(n) memory.
+    The table.  A grid of square cells, about one per element, covers the
+    box of the samples and the clip box.  For a cell c with half-diagonal
+    h, D3(c) is the distance from its centre to a sample of the third
+    distinct element nearest the centre, plus h: an upper bound on the
+    distance from any point of c to three distinct elements.  ball(c) holds
+    the elements within D3(c) + m + h of the centre, with the margin
+    m = 1e-5 (1 + D3(c)).  One more row, the exterior, holds the elements
+    within D1(c) + m' + h of the centre of some rim cell c, where D1 is the
+    same bound for the nearest element and m' = 1e-5 (1 + D1(c)).  Two
+    elements share a ball when one row holds both; that relation, M, gives
+    the candidate pairs and the crossing rows.  The balls are held once, in
+    CSR form, and M as a sparse matrix: both grow with the element count
+    times the ball size, which the scene's density sets.
 
-    Sets of at least _NEIGHBOUR_MIN_ELEMENTS elements also build a neighbour
-    table once, from a Delaunay triangulation of samples TRI_STEP apart (see
-    _neighbour_table); crossing_rows gives a branch the neighbours of its
-    generators, or every element when there is no table.  The table only
-    narrows which roots are solved: Engine.propagate re-solves a branch
-    against every element on any sign that its rows are incomplete.
+    Why the table is sound.  Every segment endpoint is a point element.  Let
+    q in cell c lie at distance r from two generators, with no other element
+    at open distance below r - d.  A third element within D3(c) of q is, or
+    has, an element at open distance at most D3(c) from q: a point, a
+    segment whose nearest point to q is interior, or the point element at
+    that segment's nearest endpoint, which is no generator as it lies closer
+    than r.  So r <= D3(c) + d, and every element within r + e of q lies in
+    ball(c) whenever d + e < m.
+    - A valid candidate source is such a q, with r its time and d the 1e-9
+      of its validity test.  So a candidate whose time exceeds D3(c) + m is
+      invalid, its generators share ball(c), and every element that could
+      invalidate it is in ball(c): the exact test against ball(c) decides as
+      the test against every element does.
+    - A point of a traced branch where a third element's wavefront arrives
+      is such a q, with that element at r as well.  So is the branch's
+      start, whose touching elements lie within r + 2e-6 (1 + r), and its
+      end, whose elements lie within r + 1e-6 (1 + r); m exceeds both.
+      Shock points lie in the clip box, hence in the grid, so each of these
+      elements shares a ball with both generators: crossing_rows holds it.
+    - A valid candidate outside the grid has an empty disc that touches a
+      generator at a point x inside the grid.  The segment from x to the
+      candidate crosses the grid's rim at some b, and the disc about b
+      through x lies in the first disc, so the generator is within
+      D1(c) + d of b for the rim cell c of b.  Both generators are in the
+      exterior row, so the pair is in M, and the candidate is tested against
+      every element.
     """
 
     SAMPLE_STEP = 0.5
-    # sample spacing of the Delaunay triangulation behind the neighbour
-    # table: coarser than the kd-tree's, because Qhull is slow on the long
-    # collinear runs of box-side samples
-    TRI_STEP = 2.0
-    # nearest samples of a cell centre that cell_bound's grid reads
+    # nearest samples of a cell centre read for its bound before the
+    # coarse fallback (see _reach)
     CELL_K = 16
+    # cell centres per kd-tree ball query while the balls are built
+    BALL_CHUNK = 256
 
-    def __init__(self, elements: list[BoundaryElement]):
+    def __init__(self, elements: list[BoundaryElement], box: Rect):
         self.n = len(elements)
         # one (kind, ax, ay, dx, dy, L) row of Python floats per element id,
         # for the scalar queries (cheaper than numpy scalar indexing): a
@@ -133,154 +151,179 @@ class ElementSet:
         # elements gathers in one call
         self._kind = np.array([r[0] for r in self._rows], dtype=np.int8)
         self._cols = np.array([r[1:] for r in self._rows]).T.copy()
-        pid = np.nonzero(self._kind == 0)[0]
-        sid = np.nonzero(self._kind == 1)[0]
-        self._all_rows = (pid, self._cols[:, pid], sid, self._cols[:, sid])
         xy, self._sample_eid = self._samples(self.SAMPLE_STEP)
         self._tree = cKDTree(xy)
-        self._cell_lo, self._cell_side, self._cell_d3 = self._cell_grid(xy)
-        self._nbr = None
-        if self.n >= _NEIGHBOUR_MIN_ELEMENTS:
-            self._nbr = self._neighbour_table(*self._samples(self.TRI_STEP))
+        self._build_table(xy, box)
 
     def _samples(self, step):
         """Sample points (m, 2) and their element ids (m,): every point
         element, and every segment at spacing at most step, ends included."""
-        pid, pcol, sid, scol = self._all_rows
-        xs, eids = [pcol[:2].T], [pid]
-        for k, (ax, ay, dx, dy, L) in zip(sid.tolist(), scol.T):
-            m = max(2, int(math.ceil(L / step)) + 1)
-            t = np.linspace(0.0, L, m)
-            xs.append(np.column_stack([ax + t * dx, ay + t * dy]))
-            eids.append(np.full(m, k, dtype=int))
-        return np.vstack(xs), np.concatenate(eids)
+        pid = np.nonzero(self._kind == 0)[0]
+        sid = np.nonzero(self._kind == 1)[0]
+        ax, ay, dx, dy, L = self._cols[:, sid]
+        m = np.maximum(2, np.ceil(L / step).astype(int) + 1)
+        last = np.cumsum(m) - 1
+        # t = L k / (m - 1) for k = 0 .. m - 1, with the end exactly L
+        k = np.arange(last[-1] + 1 if len(m) else 0) - np.repeat(last + 1 - m, m)
+        t = k * np.repeat(L / (m - 1), m)
+        t[last] = L
+        seg = np.repeat(np.arange(len(sid)), m)
+        xy = np.column_stack([ax[seg] + t * dx[seg], ay[seg] + t * dy[seg]])
+        return (np.vstack([self._cols[:2, pid].T, xy]),
+                np.concatenate([pid, sid[seg]]))
 
-    def _cell_grid(self, xy):
-        """The grid behind cell_bound, as (lower corner, cell side, D3):
-        square cells over the box of the samples xy, about one per element,
-        and for each cell D3, the distance from its centre to the nearest
-        sample of the third distinct element among the centre's CELL_K
-        nearest samples, plus the cell's half-diagonal; +inf where those
-        samples hold fewer than 3 elements, and on a border of cells around
-        the grid."""
-        lo = xy.min(axis=0)
-        w, h = (xy.max(axis=0) - lo).tolist()
+    def _build_table(self, xy, box):
+        """The grid, its bounds and balls, and M (see the class docstring).
+        Cells are numbered ix * ny + iy; number nx * ny is the exterior,
+        whose bound is +inf and whose validation ball is every element."""
+        lo = np.minimum(xy.min(axis=0), (box.xmin, box.ymin))
+        hi = np.maximum(xy.max(axis=0), (box.xmax, box.ymax))
+        w, h = (hi - lo).tolist()
         # a zero-area box (collinear samples) falls back to its length
         side = max(math.sqrt(w * h / self.n), max(w, h) / self.n)
         if not 0.0 < side < _INF:
             side = 1.0
         nx, ny = int(w // side) + 1, int(h // side) + 1
-        cx = lo[0] + (np.arange(nx) + 0.5) * side
-        cy = lo[1] + (np.arange(ny) + 0.5) * side
-        centres = np.column_stack([np.repeat(cx, ny), np.tile(cy, nx)])
-        k = min(self.CELL_K, len(xy))
+        ix, iy = np.divmod(np.arange(nx * ny), ny)
+        centres = np.column_stack([lo[0] + (ix + 0.5) * side,
+                                   lo[1] + (iy + 0.5) * side])
+        half = side * math.sqrt(0.5)
+        # samples at most side apart, for the queries whose radius is of
+        # the order of a cell
+        cxy, ceid = self._samples(side)
+        coarse = (cKDTree(cxy), ceid, side)
+        d1, d3 = self._reach(centres, coarse)
+        bound = d3 + half
+        limit = bound + 1e-5 * (1.0 + bound)
+        rim = (ix == 0) | (ix == nx - 1) | (iy == 0) | (iy == ny - 1)
+        near = d1[rim] + half
+        # one query for the cells' balls and the rim's nearest-element balls
+        ptr, ids = self._balls(
+            np.vstack([centres, centres[rim]]),
+            np.concatenate([limit, near + 1e-5 * (1.0 + near)]) + half, coarse)
+        outer = np.unique(ids[ptr[nx * ny]:])
+        ptr, ids = ptr[:nx * ny + 1], ids[:ptr[nx * ny]]
+        self._cell_lo, self._cell_side, self._cell_shape = lo, side, (nx, ny)
+        self._cell_limit = np.append(limit, _INF)
+        self._ball_ptr = np.append(ptr, ptr[-1] + self.n)
+        self._ball_ids = np.concatenate([ids, np.arange(self.n)])
+        incidence = csr_matrix(
+            (np.ones(len(ids) + len(outer)), np.concatenate([ids, outer]),
+             np.append(ptr, ptr[-1] + len(outer))), shape=(nx * ny + 1, self.n))
+        share = (incidence.T @ incidence).tocsr()
+        share.sort_indices()
+        self._share_ptr, self._share_ids = share.indptr, share.indices
+
+    def _reach(self, centres, coarse):
+        """(D1, D3) at centres, without the half-diagonal: the distance to
+        the nearest sample, and to a sample of the third distinct element
+        (+inf with fewer than three elements).  Where the CELL_K nearest
+        samples hold fewer than three elements, a doubling query of the
+        coarse samples, which lie on the elements too, finds the third."""
+        k = min(self.CELL_K, len(self._sample_eid))
         ds, idx = self._tree.query(centres, k=k)
-        ds, eids = ds.reshape(-1, k), self._sample_eid[idx].reshape(-1, k)
-        # a sample is the first of its element when no nearer one shares it
-        seen = ((eids[:, :, None] == eids[:, None, :])
-                & np.tri(k, k, -1, dtype=bool)).any(axis=2)
-        third = np.cumsum(~seen, axis=1) >= 3
-        d3 = ds[np.arange(len(ds)), third.argmax(axis=1)] \
-            + side * math.sqrt(0.5)
-        grid = np.full((nx + 2, ny + 2), _INF)
-        grid[1:-1, 1:-1] = np.where(third[:, -1], d3, _INF).reshape(nx, ny)
-        return lo, side, grid
+        ds, idx = ds.reshape(len(centres), k), idx.reshape(len(centres), k)
+        d3 = _third_distance(ds, self._sample_eid[idx])
+        rest = np.nonzero(np.isinf(d3))[0]
+        tree, eid, _ = coarse
+        while len(rest) and self.n >= 3:
+            k = min(2 * k, len(eid))
+            dr, ir = tree.query(centres[rest], k=k)
+            d = _third_distance(dr.reshape(len(rest), k),
+                                eid[ir].reshape(len(rest), k))
+            d3[rest] = d
+            rest = rest[np.isinf(d)]
+        return ds[:, 0], d3
 
-    def cell_bound(self, locs):
-        """(K,) upper bound on the distance from each of locs (K, 2) to some
-        sample of each of three distinct elements, from the grid cell it
-        lies in (see _cell_grid); +inf outside the grid.  At most two of
-        those elements generate a candidate, so a candidate at a bound below
-        its formation time has a non-generator sample closer than that time:
-        it is invalid by the argument maybe_valid relies on."""
+    def _balls(self, centres, radius, coarse):
+        """CSR (ptr, ids) over centres: the elements within radius of each
+        centre (closed distance), ascending; every element where radius is
+        +inf.  The coarse samples, at most side apart, within radius +
+        side/2 give a superset, which exact distances trim; BALL_CHUNK
+        centres are queried at a time, so the query's lists stay small."""
+        n, keys = self.n, []
+        tree, eid, side = coarse
+        for lo in range(0, len(centres), self.BALL_CHUNK):
+            cells = np.arange(lo, min(lo + self.BALL_CHUNK, len(centres)))
+            fin = np.isfinite(radius[cells])
+            keys.append((cells[~fin, None] * n + np.arange(n)).ravel())
+            if not fin.any():
+                continue
+            found = tree.query_ball_point(centres[cells[fin]],
+                                          radius[cells[fin]] + 0.5 * side,
+                                          return_sorted=False)
+            lens = np.fromiter(map(len, found), dtype=int, count=len(found))
+            flat = np.fromiter(itertools.chain.from_iterable(found),
+                               dtype=int, count=int(lens.sum()))
+            key = np.unique(np.repeat(cells[fin], lens) * n + eid[flat])
+            c, e = np.divmod(key, n)
+            keys.append(key[self._closed_dist(centres[c, 0], centres[c, 1], e)
+                            <= radius[c]])
+        keys = np.sort(np.concatenate(keys))
+        return (np.searchsorted(keys // n, np.arange(len(centres) + 1)),
+                keys % n)
+
+    def _cells(self, locs):
+        """The cell of each of locs (K, 2): the exterior outside the grid,
+        and where a location is not finite."""
+        nx, ny = self._cell_shape
         q = np.floor((locs - self._cell_lo) / self._cell_side)
-        # a location outside the grid, or not finite, clips to the border
         with np.errstate(invalid="ignore"):
-            i = np.clip(q.astype(int), -1, np.array(self._cell_d3.shape) - 2)
-        return self._cell_d3[i[:, 0] + 1, i[:, 1] + 1]
+            inside = ((q >= 0) & (q < (nx, ny))).all(axis=1)
+        q = np.where(inside[:, None], q, 0).astype(int)
+        return np.where(inside, q[:, 0] * ny + q[:, 1], nx * ny)
 
-    def _neighbour_table(self, xy, eid):
-        """Element neighbours as one id set per element id: a and b
-        are neighbours when samples of a and b lie on one face of the
-        Delaunay subdivision of the samples xy, that is, on one empty circle.
-        None when Qhull cannot triangulate them (fewer than 3 non-collinear
-        samples).
+    def pairs(self):
+        """The element pairs (i, j), i < j, that share a ball, as two
+        arrays ordered by i, then j."""
+        ptr, ids = self._share_ptr, self._share_ids
+        i = np.repeat(np.arange(self.n), np.diff(ptr))
+        upper = ids > i
+        return i[upper], ids[upper]
 
-        Qhull splits a face of four or more co-circular samples (a regular
-        polygon's vertices) into triangles arbitrarily, so adjacent triangles
-        with one circumcentre are merged back into their face.  Qhull also
-        leaves near-duplicate samples (a segment's end sample on its endpoint
-        element, say) out of the triangulation and reports each with its
-        nearest vertex in tri.coplanar; such a sample's element takes the
-        place of that vertex, or no face would reach it."""
-        try:
-            tri = Delaunay(xy)
-        except QhullError:
-            return None
-        s = tri.simplices
-        p = xy[s]
-        b, c = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
-        den = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a flat triangle's centre is not finite and merges with none
-            u = np.column_stack([c[:, 1] * bb - b[:, 1] * cc,
-                                 b[:, 0] * cc - c[:, 0] * bb]) / den[:, None]
-        centre = p[:, 0] + u
-        # triangles i, j across a shared edge with one circumcentre
-        i = np.repeat(np.arange(len(s)), 3)
-        j = tri.neighbors.ravel()
-        i, j = i[j >= 0], j[j >= 0]
-        with np.errstate(invalid="ignore"):
-            same = np.hypot(*(centre[i] - centre[j]).T) \
-                <= 1e-9 * np.hypot(u[i, 0], u[i, 1])
-        i, j = i[same], j[same]
-        # label each face by its smallest triangle index: spread the lower
-        # label across merged edges, then jump labels to their own labels
-        face = np.arange(len(s))
-        while True:
-            low = face.copy()
-            np.minimum.at(low, i, face[j])
-            np.minimum.at(low, j, face[i])
-            low = low[low]
-            if (low == face).all():
-                break
-            face = low
-        nv = len(xy)
-        on_face = coo_matrix((np.ones(s.size),
-                              (np.repeat(face, 3), s.ravel())),
-                             shape=(len(s), nv)).tocsr()
-        # element-by-sample incidence, coplanar samples on their vertex
-        cop = tri.coplanar
-        at = coo_matrix((np.ones(nv + len(cop)),
-                         (np.concatenate([eid, eid[cop[:, 0]]]),
-                          np.concatenate([np.arange(nv), cop[:, 2]]))),
-                        shape=(self.n, nv)).tocsr()
-        elem_face = at @ on_face.T
-        pairs = (elem_face @ elem_face.T).tocoo()
-        off = pairs.row != pairs.col
-        nbr = [set() for _ in range(self.n)]
-        for a, b in zip(pairs.row[off].tolist(), pairs.col[off].tolist()):
-            nbr[a].add(b)
-        return nbr
+    def valid_sources(self, locs, times, g1, g2, budget):
+        """Boolean mask over candidate sources (locs (K, 2), formation
+        times, generator ids g1/g2): True where no element but the
+        generators lies at open distance below the time, less 1e-9.  A
+        candidate whose time exceeds its cell's bound plus margin is invalid
+        untested; the others are tested exactly against their cell's ball
+        (see the class docstring).  A gather holds at most budget
+        (candidate, element) pairs, or one candidate's ball."""
+        cell = self._cells(locs)
+        live = np.nonzero(~(times > self._cell_limit[cell]))[0]
+        start = self._ball_ptr[cell[live]]
+        size = self._ball_ptr[cell[live] + 1] - start
+        ends = np.cumsum(size)
+        ok = np.zeros(len(times), dtype=bool)
+        lo = 0
+        while lo < len(live):
+            base = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + budget, "right")))
+            sz = size[lo:hi]
+            off = ends[lo:hi] - sz - base
+            c = np.repeat(live[lo:hi], sz)
+            e = self._ball_ids[np.arange(ends[hi - 1] - base)
+                               + np.repeat(start[lo:hi] - off, sz)]
+            d = self._open_dist(locs[c, 0], locs[c, 1], e)
+            d[(e == g1[c]) | (e == g2[c])] = _INF
+            ok[live[lo:hi]] = np.minimum.reduceat(d, off) \
+                >= times[live[lo:hi]] - 1e-9
+            lo = hi
+        return ok
 
     def crossing_rows(self, g1: int, g2: int):
         """The elements a branch of generators g1, g2 solves crossings
         against, as (point ids, their (5, k) columns, segment ids, their
-        columns), ids ascending: the neighbours of g1 and of g2, or every
-        element when the set has no neighbour table."""
-        if self._nbr is None:
-            return self._all_rows
-        ids = np.array(sorted(self._nbr[g1] | self._nbr[g2]), dtype=int)
+        columns), ids ascending: the elements that share a ball with g1 and
+        with g2."""
+        ptr, share = self._share_ptr, self._share_ids
+        a = share[ptr[g1]:ptr[g1 + 1]]
+        b = share[ptr[g2]:ptr[g2 + 1]]
+        # both rows are sorted: keep the ids of b that a holds too
+        ids = b[a[np.searchsorted(a, b).clip(max=len(a) - 1)] == b]
         seg = self._kind[ids] == 1
         pid, sid = ids[~seg], ids[seg]
         return pid, self._cols[:, pid], sid, self._cols[:, sid]
-
-    def outside_rows(self, g1: int, g2: int, eids) -> list:
-        """The ids of eids (ascending) that crossing_rows(g1, g2) leaves
-        out on a set with a neighbour table."""
-        n1, n2 = self._nbr[g1], self._nbr[g2]
-        return [e for e in eids if e not in n1 and e not in n2]
 
     def open_dist_one(self, eid: int, q) -> float:
         """Exact open distance from q to element eid."""
@@ -311,25 +354,31 @@ class ElementSet:
             q, radius + 0.5 * self.SAMPLE_STEP + 1e-9)
         return set(self._sample_eid[sids].tolist()).difference(exclude_ids)
 
+    def _closed_dist(self, x, y, ids):
+        """Closed distances from the points (x, y) to the elements ids,
+        elementwise under numpy broadcasting (a point element has L = 0)."""
+        ax, ay, dx, dy, L = self._cols[:, ids]
+        rx, ry = x - ax, y - ay
+        t = np.clip(rx * dx + ry * dy, 0.0, L)
+        return np.hypot(rx - t * dx, ry - t * dy)
+
+    def _open_dist(self, x, y, ids):
+        """Open distances from the points (x, y) to the elements ids,
+        elementwise under numpy broadcasting."""
+        ax, ay, dx, dy, L = self._cols[:, ids]
+        rx, ry = x - ax, y - ay
+        t = rx * dx + ry * dy
+        return np.where(self._kind[ids] == 1,
+                        np.where((t > 0.0) & (t < L),
+                                 np.abs(rx * dy - ry * dx), _INF),
+                        np.hypot(rx, ry))
+
     def open_distances(self, pts, ids):
         """(K, m) matrix of open distances from points pts (K, 2) to the
         elements ids (m,)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ids = np.asarray(ids, dtype=int)
-        seg = self._kind[ids] == 1
-        out = np.full((pts.shape[0], len(ids)), _INF)
-        pid, sid = np.nonzero(~seg)[0], np.nonzero(seg)[0]
-        if len(pid):
-            ax, ay = self._cols[:2, ids[pid]]
-            out[:, pid] = np.hypot(pts[:, None, 0] - ax, pts[:, None, 1] - ay)
-        if len(sid):
-            ax, ay, dx, dy, L = self._cols[:, ids[sid]]
-            rx = pts[:, None, 0] - ax
-            ry = pts[:, None, 1] - ay
-            t = rx * dx + ry * dy
-            out[:, sid] = np.where((t > 0.0) & (t < L),
-                                   np.abs(rx * dy - ry * dx), _INF)
-        return out
+        return self._open_dist(pts[:, None, 0], pts[:, None, 1],
+                               np.asarray(ids, dtype=int))
 
     def any_closer(self, q, thresh, exclude_ids) -> bool:
         """True iff some element outside exclude_ids has open distance < thresh."""
@@ -349,25 +398,6 @@ class ElementSet:
         if not near:
             return np.full(len(pts), _INF)
         return self.open_distances(pts, sorted(near)).min(axis=1)
-
-    def maybe_valid(self, locs, times, g1, g2):
-        """Boolean mask over candidate shock sources (locs (K, 2), formation
-        times, generator ids g1/g2), False where a sample of a non-generator
-        element lies closer than the formation time.  A sample's distance
-        bounds its element's distance from above, so False proves the
-        candidate invalid.  The nearest sample settles almost every
-        candidate; the rest are checked against their 8 nearest.  The
-        candidate pass asks only about the candidates cell_bound keeps."""
-        ds, idx = self._tree.query(locs, k=1, workers=-1)
-        eids = self._sample_eid[idx]
-        alive = (eids == g1) | (eids == g2) | (ds >= times - 1e-9)
-        rest = np.nonzero(alive)[0]
-        ds, idx = self._tree.query(locs[rest], k=min(8, len(self._sample_eid)),
-                                   workers=-1)
-        eids = self._sample_eid[idx]
-        nongen = (eids != g1[rest, None]) & (eids != g2[rest, None])
-        alive[rest] = np.where(nongen, ds, _INF).min(axis=1) >= times[rest] - 1e-9
-        return alive
 
     def closed_near(self, q, radius, exclude_ids):
         """Element ids whose CLOSED distance (segments clamped to their
@@ -395,10 +425,12 @@ class ElementSet:
 _FRESH = _INF
 
 
-# Element pairs per candidate block.  The candidate pass builds about 240
-# bytes of transient arrays per pair, so blocks of this many pairs (about
-# 30 MB) bound its memory however many element pairs the scene has; a block
-# holds max(1, _PAIR_BUDGET // n_elements) element rows.
+# Element pairs per candidate slice.  A slice builds about 240 bytes of
+# transient arrays per pair, so slices of this many pairs (about 30 MB)
+# bound the pass's memory however many pairs the scene has.  A validation
+# gather builds about 140 bytes per (candidate, element) pair, and a scene
+# of a few thousand element pairs already gathers hundreds of thousands,
+# so a gather takes 1/32 of the budget (under 1 MB).
 _PAIR_BUDGET = 1 << 17
 
 
@@ -414,12 +446,6 @@ def _candidate_part(t, x, y, a, b, br):
             np.broadcast_to(np.asarray(br, dtype=int), lo.shape).ravel())
 
 
-def _later_pairs(lo, hi, n):
-    """Index pairs (i, j) with lo <= i < hi and i < j < n."""
-    i, j = np.nonzero(np.arange(n)[None, :] > np.arange(lo, hi)[:, None])
-    return i + lo, j
-
-
 def _point_point_candidates(P, ids, iu, ju):
     """Perpendicular-bisector midpoints of point pairs (iu, ju)."""
     mids = 0.5 * (P[iu] + P[ju])
@@ -427,25 +453,24 @@ def _point_point_candidates(P, ids, iu, ju):
                            mids[:, 1], ids[iu], ids[ju], -1)
 
 
-def _point_segment_candidates(P, pids, adj, A, Du, L, sids):
-    """Endpoint perpendiculars (time 0) and parabola minima of points P
-    against every segment; adj marks each point's own segments."""
-    rel = P[:, None, :] - A[None, :, :]
-    tq = rel[:, :, 0] * Du[None, :, 0] + rel[:, :, 1] * Du[None, :, 1]
-    h = np.abs(rel[:, :, 0] * Du[None, :, 1] - rel[:, :, 1] * Du[None, :, 0])
-    pr, sc = np.nonzero(adj)
-    if len(pr):
-        yield _candidate_part(np.zeros(len(pr)), P[pr, 0], P[pr, 1],
-                              pids[pr], sids[sc], 0)
+def _point_segment_candidates(P, pids, A, Du, L, sids, pr, sc, adj):
+    """Endpoint perpendiculars (time 0) and parabola minima of the point,
+    segment pairs (pr, sc); adj marks the pairs whose point ends its
+    segment."""
+    rel = P[pr] - A[sc]
+    tq = rel[:, 0] * Du[sc, 0] + rel[:, 1] * Du[sc, 1]
+    h = np.abs(rel[:, 0] * Du[sc, 1] - rel[:, 1] * Du[sc, 0])
+    if adj.any():
+        yield _candidate_part(np.zeros(adj.sum()), P[pr[adj], 0],
+                              P[pr[adj], 1], pids[pr[adj]], sids[sc[adj]], 0)
     free = (~adj) & (h > 1e-9)  # collinear pairs are mediated by endpoints
-    pr, sc = np.nonzero(free)
-    if len(pr):
-        xi_lo, xi_hi = -tq[pr, sc], L[sc] - tq[pr, sc]
+    if free.any():
+        pr, sc, tq, hh = pr[free], sc[free], tq[free], h[free]
+        xi_lo, xi_hi = -tq, L[sc] - tq
         xi = np.where((xi_lo < 0.0) & (xi_hi > 0.0), 0.0,
                       np.where(xi_lo >= 0.0, xi_lo, xi_hi))
-        hh = h[pr, sc]
         rr = (xi * xi + hh * hh) / (2.0 * hh)
-        foot0 = A[sc] + tq[pr, sc][:, None] * Du[sc]
+        foot0 = A[sc] + tq[:, None] * Du[sc]
         nvec = (P[pr] - foot0) / hh[:, None]
         loc = foot0 + xi[:, None] * Du[sc] + rr[:, None] * nvec
         yield _candidate_part(rr, loc[:, 0], loc[:, 1], pids[pr], sids[sc], 0)
@@ -512,14 +537,11 @@ def _segment_segment_candidates(segs, A, Du, L, sids, iu, ju):
                               loc[:, 1], i1[okw], i2[okw], br)
 
 
-def _candidate_blocks(elements: list[BoundaryElement], rows: int):
-    """Candidates over all admissible element pairs, one block at a time.
-
-    A block pairs at most `rows` points with every later point and every
-    segment, or at most `rows` segments with every later segment, so it
-    holds at most rows * len(elements) pairs.  Each block is yielded as the
-    concatenated arrays of _candidate_part.
-    """
+def _candidate_slices(elements: list[BoundaryElement], pairs, budget: int):
+    """Candidates of the element pairs (i, j) of ElementSet.pairs, a slice
+    at a time: a slice holds whole runs of one i, at most budget pairs or
+    one run.  Each slice is yielded as the concatenated arrays of
+    _candidate_part."""
     points = [e for e in elements if e.kind == POINT]
     segs = [e for e in elements if e.kind == SEGMENT]
     P = np.array([p.geometry for p in points], dtype=float).reshape(-1, 2)
@@ -534,28 +556,35 @@ def _candidate_blocks(elements: list[BoundaryElement], rows: int):
     D = B - A
     L = np.hypot(D[:, 0], D[:, 1])
     Du = D / L[:, None]
-    # (point row, segment column) of every point that ends its segment
-    pid_to_row = {int(pid): r for r, pid in enumerate(pids)}
-    own = np.array([(pid_to_row[eid], c) for c, s in enumerate(segs)
-                    for eid in s.adjacency if eid in pid_to_row],
-                   dtype=int).reshape(-1, 2)
-    for lo in range(0, len(points), rows):
-        hi = min(lo + rows, len(points))
-        parts = [_point_point_candidates(
-            P, pids, *_later_pairs(lo, hi, len(points)))]
-        if len(segs):
-            adj = np.zeros((hi - lo, len(segs)), dtype=bool)
-            mine = own[(own[:, 0] >= lo) & (own[:, 0] < hi)]
-            adj[mine[:, 0] - lo, mine[:, 1]] = True
-            parts += _point_segment_candidates(P[lo:hi], pids[lo:hi], adj,
-                                               A, Du, L, sids)
+    # each element's row in P or in the segment arrays, and the point
+    # elements at each segment's ends (-1 where there is none)
+    row = np.empty(len(elements), dtype=int)
+    row[pids], row[sids] = np.arange(len(pids)), np.arange(len(sids))
+    is_seg = np.zeros(len(elements), dtype=bool)
+    is_seg[sids] = True
+    ends = np.full((len(segs), 2), -1)
+    for c, s in enumerate(segs):
+        own = sorted(e for e in s.adjacency if not is_seg[e])
+        ends[c, :len(own)] = own
+    i, j = pairs
+    lo = 0
+    while lo < len(i):
+        hi = lo + budget
+        if hi < len(i):
+            hi = max(int(np.searchsorted(i, i[hi], "left")),
+                     int(np.searchsorted(i, i[lo], "right")))
+        a, b = i[lo:hi], j[lo:hi]
+        sa, sb = is_seg[a], is_seg[b]
+        pp, ss, mixed = ~(sa | sb), sa & sb, sa != sb
+        pt, sg = np.where(sa, b, a)[mixed], row[np.where(sa, a, b)[mixed]]
+        parts = [_point_point_candidates(P, pids, row[a[pp]], row[b[pp]])]
+        parts += _point_segment_candidates(
+            P, pids, A, Du, L, sids, row[pt], sg,
+            (ends[sg, 0] == pt) | (ends[sg, 1] == pt))
+        parts += _segment_segment_candidates(segs, A, Du, L, sids,
+                                             row[a[ss]], row[b[ss]])
         yield tuple(np.concatenate(col) for col in zip(*parts))
-    for lo in range(0, len(segs), rows):
-        hi = min(lo + rows, len(segs))
-        parts = list(_segment_segment_candidates(
-            segs, A, Du, L, sids, *_later_pairs(lo, hi, len(segs))))
-        if parts:
-            yield tuple(np.concatenate(col) for col in zip(*parts))
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +671,7 @@ class Engine:
             raise InvalidInputError("no boundary elements")
         check_no_crossings(elements)
         self.elements = elements
-        self.eset = ElementSet(elements)
+        self.eset = ElementSet(elements, box)
         self.box = box
         n = len(elements)
         self.event_budget = event_budget if event_budget else max(10 * n * n, 10000)
@@ -655,10 +684,6 @@ class Engine:
         self._node_cells: dict[tuple, list] = {}
         self._bisector_cache: dict[tuple, list] = {}
         self._root_cache: dict[tuple, tuple] = {}
-        # branches whose cached roots cover every element although the set
-        # has a neighbour table (see propagate)
-        self._full_roots: set = set()
-        self._table = self.eset._nbr is not None
         self._claimed: dict[tuple, list] = {}
         self._spawned: set = set()
         self._active: list = []
@@ -666,7 +691,7 @@ class Engine:
         self._seq = itertools.count()
         self.stats = {"elements": n, "candidates": 0, "discarded": 0,
                       "realized": 0, "events": 0, "sweep_truncations": 0,
-                      "crossing_rows": 0, "full_solves": 0}
+                      "crossing_rows": 0}
 
     # -- nodes -------------------------------------------------------------
     def _node_at(self, loc, radius, gen_ids: set) -> int:
@@ -879,7 +904,7 @@ class Engine:
             return np.empty(0), np.empty(0, dtype=int)
         return np.concatenate(params), np.concatenate(ids)
 
-    def _crossings(self, rec: Bisector, full: bool = False):
+    def _crossings(self, rec: Bisector):
         """Crossings of rec that propagation can read, sorted by parameter,
         as (params, ids) arrays.  The root set depends only on the branch's
         geometry, so it is solved once per branch and cached for
@@ -888,26 +913,18 @@ class Engine:
         of the domains of all pieces of the branch (box-clipped pieces of one
         parabola share the entry).
 
-        Only the generators' neighbours are solved (see _crossing_params).
-        Dropping elements can only remove roots, so the first counted
-        crossing is unchanged whenever the element that ends the link is a
-        neighbour.  When an element outside the rows touches the start or
-        reaches the end, or the sweep finds a missed crossing, propagate
-        re-solves the branch against every element (full=True, which
-        replaces the entry and counts in stats["full_solves"])."""
+        Only the rows of ElementSet.crossing_rows are solved.  They hold
+        every element whose roots propagate reads first, and dropping the
+        other elements only removes later roots, so each link ends where a
+        solve against every element ends it."""
         key = rec.branch_key
         cached = self._root_cache.get(key)
-        if cached is None or full:
+        if cached is None:
             pieces = [b for b in self._bisectors(*rec.pair)
                       if b.branch_key == key]
             lo = min(b.t_lo for b in pieces)
             hi = max(b.t_hi for b in pieces)
-            if full:
-                rows = self.eset._all_rows
-                self._full_roots.add(key)
-                self.stats["full_solves"] += 1
-            else:
-                rows = self.eset.crossing_rows(*rec.pair)
+            rows = self.eset.crossing_rows(*rec.pair)
             self.stats["crossing_rows"] += len(rows[0]) + len(rows[2])
             params, ids = self._crossing_params(rec, rows)
             keep = (params >= lo) & (params <= hi)  # absent (NaN) roots fail
@@ -957,15 +974,6 @@ class Engine:
             parent_gens = ()
         near_tol = 1e-5 * scale
 
-        filtered = self._table and rec.branch_key not in self._full_roots
-        if filtered and self.eset.outside_rows(*gens, touch):
-            # the contact transition below reads the roots of every touching
-            # element, and the neighbour rows can leave one out (an element
-            # on the parent junction's empty circle whose samples share no
-            # face with the generators'): solve the branch against every
-            # element and trace it again
-            self._crossings(rec, full=True)
-            return self.propagate(shock)
         # analytic third-wave crossings strictly between the probe and the
         # cap that count as events, in travel order
         params, ids = self._crossings(rec)
@@ -1026,24 +1034,11 @@ class Engine:
                  else "domain")
 
         # validity sweep: exact deficit at interior samples; a violation means
-        # a crossing was missed, so truncate there by bisection.  A link
-        # traced with neighbour rows is checked at its end too: a crossing
-        # the rows missed past the last interior sample leaves an element
-        # strictly inside the front there.
+        # a crossing was missed, so truncate there by bisection
         ts = s0 + _SWEEP_FRAC * (s_end - s0)
-        if filtered:
-            ts = np.append(ts, s_end)
         pts = rec.point(ts)
         rs = np.asarray(rec.radius(ts), dtype=float)
         md = self.eset.min_third_along(pts, rs, gens) - rs
-        if filtered and (md.min() < -1e-9 * scale
-                         or self.eset.outside_rows(*gens, crossing)):
-            # the rows missed a crossing, or an element outside them reaches
-            # the end node (its root may come first by a rounding step):
-            # solve the branch against every element, as without a table,
-            # and trace it again
-            self._crossings(rec, full=True)
-            return self.propagate(shock)
         if md.min() < -1e-9 * scale:
             self.stats["sweep_truncations"] += 1
             bad = int(np.argmax(md < -1e-9 * scale))
@@ -1089,31 +1084,16 @@ class Engine:
         return end_kind
 
     def _valid_candidates(self) -> list[tuple]:
-        """Enumerate and validity-filter candidates one block of element rows
-        at a time, keeping only the valid ones, so the pass's arrays hold
-        about _PAIR_BUDGET pairs or distances at a time, not all pairs.
+        """Form the candidates of the element pairs that share a ball and
+        keep the valid ones (ElementSet.valid_sources), a slice of about
+        _PAIR_BUDGET pairs at a time, so the pass never holds all pairs.
         Returns them as fresh sources (see _FRESH), sorted."""
-        rows = max(1, _PAIR_BUDGET // len(self.elements))
         out = []
-        every = np.arange(self.eset.n)
-        for t, x, y, g1, g2, br in _candidate_blocks(self.elements, rows):
+        for t, x, y, g1, g2, br in _candidate_slices(
+                self.elements, self.eset.pairs(), _PAIR_BUDGET):
             self.stats["candidates"] += len(t)
-            locs = np.column_stack([x, y])
-            # the cell bound drops most candidates, maybe_valid's sample
-            # queries more, and the survivors are validated exactly; the
-            # bound's margin is maybe_valid's 1e-9 and 1e-9 for the rounding
-            # of a candidate's cell
-            near = np.nonzero(~(self.eset.cell_bound(locs) < t - 2e-9))[0]
-            surv = near[self.eset.maybe_valid(locs[near], t[near], g1[near],
-                                              g2[near])]
-            ok = np.zeros(len(t), dtype=bool)
-            for lo in range(0, len(surv), rows):
-                sel = surv[lo:lo + rows]
-                d = self.eset.open_distances(locs[sel], every)
-                rr = np.arange(len(sel))
-                d[rr, g1[sel]] = _INF
-                d[rr, g2[sel]] = _INF
-                ok[sel] = d.min(axis=1) >= t[sel] - 1e-9
+            ok = self.eset.valid_sources(np.column_stack([x, y]), t, g1, g2,
+                                         _PAIR_BUDGET // 32)
             out += zip(t[ok].tolist(), itertools.repeat(_FRESH),
                        g1[ok].tolist(), g2[ok].tolist(), br[ok].tolist())
         self.stats["discarded"] = self.stats["candidates"] - len(out)

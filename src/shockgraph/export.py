@@ -109,6 +109,14 @@ def to_sgtext(graph: ShockGraph, width: float, height: float,
 
 
 def parse_sgtext(text: str) -> SgDocument:
+    """Parse sgtext; any malformed input raises InvalidInputError."""
+    try:
+        return _parse_sgtext(text)
+    except ValueError as exc:  # a field that is not a number
+        raise InvalidInputError(f"malformed sgtext field: {exc}") from None
+
+
+def _parse_sgtext(text: str) -> SgDocument:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("shockgraph v1 "):
         raise InvalidInputError("not an sgtext file (missing header)")
@@ -128,7 +136,7 @@ def parse_sgtext(text: str) -> SgDocument:
                 np.array([float(v) for v in parts[6:]])))
             i += 1
         elif parts[0] == "e":
-            if len(parts) != 12:
+            if len(parts) != 12 or i + LINK_SAMPLES >= len(lines):
                 raise InvalidInputError(f"malformed link line: {lines[i]!r}")
             geom = np.empty((LINK_SAMPLES, 2))
             for j in range(LINK_SAMPLES):

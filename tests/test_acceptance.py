@@ -397,17 +397,19 @@ def test_feature_contract(tmp_path):
 def test_complexity_scaling_slope():
     """Log-log slopes of the engine's cost against the element count.
 
-    The window [1.7, 2.6] describes the quadratic enumeration of candidate
-    shock sources, one per admissible element pair.  That count,
-    stats["candidates"], is deterministic, and its fitted slope must lie in
-    the window.
+    Candidate shock sources are formed only for the element pairs that share
+    a ball of the engine's cell table, and a ball's size depends on the
+    scene's density, not on its element count.  So stats["candidates"],
+    which is deterministic, must grow clearly slower than the number of
+    element pairs: its fitted slope is at most 1.5 (it was 1.38 when this
+    bound was set; forming a candidate for every pair gives about 2).
 
     Wall time gets only the upper bound: engine.run must grow no faster than
     quadratically (slope <= 2.6).  It has no lower bound, because nothing
     promises a minimum cost and a faster engine is not a defect: at these
     sizes the per-event propagation, which grows near-linearly in the
-    realized shock count, outweighs the vectorized pair enumeration, and the
-    wall-time slope sits near 1.  Each size is timed as the fastest of 3
+    realized shock count, outweighs the candidate pass, and the wall-time
+    slope sits near 1.  Each size is timed as the fastest of 3
     runs, so that one run slowed by other load on the host does not bend
     the fit.
 
@@ -433,7 +435,7 @@ def test_complexity_scaling_slope():
     wall_slope = float(np.polyfit(log_n, np.log(walls), 1)[0])
     cand_slope = float(np.polyfit(log_n, np.log(candidates), 1)[0])
     assert wall_slope <= 2.6, f"wall-time log-log slope {wall_slope:.3f}"
-    assert 1.7 <= cand_slope <= 2.6, \
+    assert cand_slope <= 1.5, \
         f"candidate-count log-log slope {cand_slope:.3f}"
 
 

@@ -85,13 +85,22 @@ def test_missing_file_is_a_parse_error(tmp_path):
 
 
 def test_unknown_format_is_a_usage_error(tmp_path):
-    assert cli.main([RECTANGLE, "-o", str(tmp_path), "--format", "pdf"]) \
-        == cli.EXIT_USAGE
+    for fmt in ("pdf", "", ","):
+        assert cli.main([RECTANGLE, "-o", str(tmp_path), "--format", fmt]) \
+            == cli.EXIT_USAGE, fmt
+    assert not list(tmp_path.iterdir())
 
 
 def test_negative_lambda_is_a_usage_error(tmp_path):
-    assert cli.main([RECTANGLE, "-o", str(tmp_path), "--lambda", "-1"]) \
-        == cli.EXIT_USAGE
+    """Negative and NaN settings, and an infinite box scale, are usage
+    errors before any scene runs."""
+    for flag, value in (("--lambda", "-1"), ("--lambda", "nan"),
+                        ("--epsilon", "-1"), ("--epsilon", "nan"),
+                        ("--bbox-scale", "nan"), ("--bbox-scale", "inf"),
+                        ("--bbox-scale", "1")):
+        assert cli.main([RECTANGLE, "-o", str(tmp_path), flag, value]) \
+            == cli.EXIT_USAGE, (flag, value)
+    assert not list(tmp_path.iterdir())
 
 
 def test_uncreatable_output_dir_is_a_write_error(tmp_path, capsys):

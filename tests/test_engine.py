@@ -100,8 +100,8 @@ class TestDeterminism:
 
 
 class TestBarePoints:
-    """Point sources with no bounding box: the kd-tree holds fewer samples
-    than the candidate prefilter's 8-neighbour query."""
+    """Point sources with no bounding box: with fewer than three elements
+    every cell's bound is +inf, and every ball holds every element."""
 
     @staticmethod
     def _run(points):
@@ -192,7 +192,7 @@ def test_proximity_queries_match_full_scan(scene, n_elements):
     element returns, at random query points, radii and excluded pairs."""
     elements, rect = scene()
     assert len(elements) == n_elements
-    eset = engine.ElementSet(elements)
+    eset = engine.ElementSet(elements, rect)
     rng = LCG(7)
     span = max(rect.xmax - rect.xmin, rect.ymax - rect.ymin)
     found = 0
@@ -245,9 +245,10 @@ def _candidate_pass(elements, rect, budget, monkeypatch):
                  id="three-points")])
 def test_streamed_candidates_match_one_block(scene, monkeypatch):
     """The candidate pass gives the same sorted valid list and the same
-    candidates/discarded totals whatever its block size: one block of all
-    rows, the default budget, 7-row blocks (a ragged last block) and 1-row
-    blocks."""
+    candidates/discarded totals whatever its pair budget: one slice of all
+    pairs, the default budget, slices of about 7 element rows (a ragged last
+    slice), and a budget of 1, which takes one element row per slice and one
+    candidate per validation gather."""
     elements, rect = scene()
     n = len(elements)
     whole = _candidate_pass(elements, rect, n * n, monkeypatch)
@@ -327,6 +328,50 @@ def _moved_random6(seed, scale, shift):
         rect.xmin, rect.ymin, rect.xmax, rect.ymax)))
 
 
+def _raw_dump(raw):
+    """Every node and link field of a raw graph, and its stats but the
+    counters of the proximity table (candidates, discarded, crossing_rows),
+    as plain values."""
+    nodes = [(n.id, n.location, n.radius, sorted(n.gen_ids),
+              sorted(n.discovered)) for n in raw.nodes]
+    links = [(ln.id, type(ln.bisector).__name__, ln.bisector.pair,
+              ln.bisector.branch_key, ln.t_from, ln.t_to, ln.node_from,
+              ln.node_to, ln.end_kind) for ln in raw.links]
+    stats = {k: v for k, v in raw.stats.items()
+             if k not in ("candidates", "discarded", "crossing_rows")}
+    return nodes, links, stats
+
+
+def _reference_engine(elements, rect, monkeypatch):
+    """An Engine built with every cell's bound at +inf.  Every ball then
+    holds every element: every element pair is a candidate pair, every
+    candidate is validated against every element, and every branch solves
+    its crossings against every element.  This is the brute-force
+    reference."""
+    reach = engine.ElementSet._reach
+
+    def no_bound(self, centres, coarse):
+        d1, d3 = reach(self, centres, coarse)
+        return d1, np.full_like(d3, math.inf)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine.ElementSet, "_reach", no_bound)
+        eng = engine.Engine(elements, rect)
+    n = len(elements)
+    assert len(eng.eset.pairs()[0]) == n * (n - 1) // 2
+    return eng
+
+
+def _assert_matches_reference(elements, rect, monkeypatch):
+    """The raw graph equals the reference's field for field, solving no
+    more crossing rows."""
+    raw = engine.run(elements, rect)
+    ref = _reference_engine(elements, rect, monkeypatch).run()
+    assert _raw_dump(raw) == _raw_dump(ref)
+    assert 0 < raw.stats["crossing_rows"] <= ref.stats["crossing_rows"]
+    return raw
+
+
 @pytest.mark.parametrize("scene", [
     pytest.param(_hundred_elements, id="hundred")]
     + [pytest.param(lambda n=n: _mask_scene(_masks_workload_mask(n)),
@@ -347,52 +392,66 @@ def _moved_random6(seed, scale, shift):
                                           (4.0, 0.0), (7.0, 0.0)]),
                     id="collinear-points")])
 def test_cell_bound_drops_only_what_maybe_valid_drops(scene, monkeypatch):
-    """Every candidate the cell bound drops, maybe_valid drops too, and the
-    candidate pass keeps the valid list it gives without the bound:
-    on offset, tiny and huge coordinates, on sets with fewer than three
-    elements near a cell, and on a sample box of zero area."""
+    """The cell bound and the ball validation drop only invalid candidates:
+    the candidate pass keeps the valid list of the reference, which
+    validates every element pair against every element.  This holds on
+    offset, tiny and huge coordinates, on sets with fewer than three
+    elements, and on a sample box of zero area.  On the scenes under 100
+    elements the raw graph equals the reference's as well."""
     elements, rect = scene()
     eng = engine.Engine(elements, rect)
-    rows = max(1, engine._PAIR_BUDGET // len(elements))
-    for t, x, y, g1, g2, _ in engine._candidate_blocks(elements, rows):
-        locs = np.column_stack([x, y])
-        dropped = eng.eset.cell_bound(locs) < t - 2e-9
-        assert not (dropped & eng.eset.maybe_valid(locs, t, g1, g2)).any()
-    with_bound = eng._valid_candidates()
-    monkeypatch.setattr(engine.ElementSet, "cell_bound",
-                        lambda self, locs: np.full(len(locs), math.inf))
-    assert engine.Engine(elements, rect)._valid_candidates() == with_bound
+    ref = _reference_engine(elements, rect, monkeypatch)
+    assert eng._valid_candidates() == ref._valid_candidates()
+    if len(elements) < 100:
+        assert _raw_dump(eng.run()) == _raw_dump(ref.run())
 
 
-def test_cell_bound_spares_most_sample_queries(monkeypatch):
-    """On the 100-fragment 160x160 scene fewer than half of the candidates
-    reach maybe_valid's kd-tree queries (22,400 of 96,169 when the bound
-    was written): the rest are dropped by their cell's bound."""
-    rows_queried = []
-    maybe_valid = engine.ElementSet.maybe_valid
+def _table_pairs(eset):
+    i, j = eset.pairs()
+    return set(zip(i.tolist(), j.tolist()))
 
-    def counted(self, locs, *args):
-        rows_queried.append(len(locs))
-        return maybe_valid(self, locs, *args)
 
-    monkeypatch.setattr(engine.ElementSet, "maybe_valid", counted)
+_SOUNDNESS_SCENES = (
+    [pytest.param(_hundred_elements, id="hundred")]
+    + [pytest.param(lambda n=n, e=e: _mask_scene(_masks_workload_mask(n), e),
+                    id=f"mask-{n}-eps{e}")
+       for n, _ in MASK_SHAPES for e in (0.8, 0.0)])
+
+
+@pytest.mark.parametrize("scene", _SOUNDNESS_SCENES)
+def test_every_valid_pair_shares_a_ball(scene, monkeypatch):
+    """Every valid candidate of the reference pass, which tries every
+    element pair, is a pair of elements that share a ball."""
+    elements, rect = scene()
+    pairs = _table_pairs(engine.ElementSet(elements, rect))
+    ref = _reference_engine(elements, rect, monkeypatch)
+    valid = {src[2:4] for src in ref._valid_candidates()}
+    assert valid and valid <= pairs
+
+
+@pytest.mark.parametrize("scene", _SOUNDNESS_SCENES)
+def test_link_end_generators_are_in_the_rows(scene):
+    """Every generator of both end nodes of every raw link is in the
+    crossing rows of the link's branch."""
+    elements, rect = scene()
+    eng = engine.Engine(elements, rect)
+    raw = eng.run()
+    for ln in raw.links:
+        pid, _, sid, _ = eng.eset.crossing_rows(*ln.bisector.pair)
+        rows = set(pid.tolist()) | set(sid.tolist())
+        for nid in (ln.node_from, ln.node_to):
+            assert raw.nodes[nid].gen_ids <= rows, (ln.id, nid)
+
+
+def test_pair_table_holds_under_a_third_of_the_pairs():
+    """On the 100-fragment 160x160 scene fewer than a third of the 117,370
+    element pairs share a ball (33,864 when the table was written), and
+    only those pairs form candidates."""
     eng = engine.Engine(*_hundred_elements())
+    n_pairs = len(eng.eset.pairs()[0])
+    assert n_pairs < 117370 / 3
     eng._valid_candidates()
-    assert eng.stats["candidates"] == 96169
-    assert sum(rows_queried) < eng.stats["candidates"] / 2
-
-
-def _raw_dump(raw):
-    """Every node and link field of a raw graph, and its stats but the
-    crossing_rows and full_solves counters, as plain values."""
-    nodes = [(n.id, n.location, n.radius, sorted(n.gen_ids),
-              sorted(n.discovered)) for n in raw.nodes]
-    links = [(ln.id, type(ln.bisector).__name__, ln.bisector.pair,
-              ln.bisector.branch_key, ln.t_from, ln.t_to, ln.node_from,
-              ln.node_to, ln.end_kind) for ln in raw.links]
-    stats = {k: v for k, v in raw.stats.items()
-             if k not in ("crossing_rows", "full_solves")}
-    return nodes, links, stats
+    assert eng.stats["candidates"] < 2 * n_pairs
 
 
 _FILTER_SCENES = (
@@ -415,57 +474,36 @@ _FILTER_SCENES = (
 
 @pytest.mark.parametrize("scene", _FILTER_SCENES)
 def test_neighbour_filter_matches_all_elements(scene, monkeypatch):
-    """Solving each branch's crossings only against its generators'
-    neighbours gives the raw graph that solving against every element
-    gives, field for field, with no sweep truncation.  The table is forced
-    on at every scene size; two bare points cannot be triangulated, so that
-    scene takes the all-elements path either way."""
+    """Candidates from the pairs that share a ball, validated against a
+    ball, and crossings solved against the elements that share a ball with
+    both generators give the raw graph of the reference, which uses every
+    element for each, field for field."""
     elements, rect = scene()
-    runs = {}
-    for cutoff in (0, math.inf):
-        monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", cutoff)
-        eng = engine.Engine(elements, rect)
-        runs[cutoff] = (eng.run(), eng.eset._nbr is not None)
-    (filtered, table), (whole, no_table) = runs[0], runs[math.inf]
-    assert table == (len(elements) > 2) and not no_table
-    assert _raw_dump(filtered) == _raw_dump(whole)
-    assert filtered.stats["sweep_truncations"] == 0
-    assert 0 < filtered.stats["crossing_rows"] <= whole.stats["crossing_rows"]
+    raw = _assert_matches_reference(elements, rect, monkeypatch)
+    assert raw.stats["sweep_truncations"] == 0
 
 
 def test_touching_elements_outside_the_neighbour_rows(monkeypatch):
     """In the unsimplified trace of the ellipse mask, pixel-grid samples on
-    one empty circle leave some elements touching a propagation start out
-    of the neighbour rows of its generators.  Those branches are solved
-    again against every element (stats["full_solves"]), and the raw graph
-    equals the one solved against every element."""
+    one empty circle put elements that touch a propagation start outside
+    the Delaunay neighbours of its generators' samples.  The elements that
+    share a ball with both generators hold them: each link starts as in the
+    reference."""
     elements, rect = _mask_scene(_masks_workload_mask("ellipse"), 0.0)
-    runs = {}
-    for cutoff in (0, math.inf):
-        monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", cutoff)
-        runs[cutoff] = engine.run(elements, rect)
-    assert runs[0].stats["full_solves"] > 0
-    assert runs[math.inf].stats["full_solves"] == 0
-    assert _raw_dump(runs[0]) == _raw_dump(runs[math.inf])
-    assert runs[0].stats["sweep_truncations"] == 0
+    raw = _assert_matches_reference(elements, rect, monkeypatch)
+    assert raw.stats["sweep_truncations"] == 0
 
 
 @pytest.mark.parametrize("seed", [15, 23])
 def test_missed_crossings_resolve_the_branch(seed, monkeypatch):
-    """In these unsimplified union3 traces the neighbour rows miss a
-    crossing: past the last sweep sample (seed 15), and by a rounding step
-    at a co-circular junction (seed 23).  propagate solves those branches
-    again against every element (stats["full_solves"]), and the raw graph
-    equals the one solved against every element."""
+    """In these unsimplified union3 traces a crossing lies past the last
+    sweep sample (seed 15), or one rounding step ahead at a co-circular
+    junction (seed 23), and its element is no Delaunay neighbour of the
+    generators' samples.  The crossing rows hold it, so each branch ends
+    where the reference ends it."""
     elements, rect = _mask_scene(_masks_workload_mask("union3", seed), 0.0)
-    runs = {}
-    for cutoff in (0, math.inf):
-        monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", cutoff)
-        runs[cutoff] = engine.run(elements, rect)
-    assert _raw_dump(runs[0]) == _raw_dump(runs[math.inf])
-    assert runs[0].stats["full_solves"] > 0
-    assert runs[math.inf].stats["full_solves"] == 0
-    assert runs[0].stats["sweep_truncations"] == 0
+    raw = _assert_matches_reference(elements, rect, monkeypatch)
+    assert raw.stats["sweep_truncations"] == 0
 
 
 @pytest.mark.parametrize("scene", [
@@ -512,37 +550,35 @@ def _cluster_above_a_long_segment():
     return _boxed(frags, 300, 200)
 
 
-def test_valid_source_outside_the_neighbour_table(monkeypatch):
-    """Candidates come from every element pair, not only from neighbour-table
-    pairs: here cluster point 3 and the long segment 28 share no face of the
-    table's triangulation, yet they pair in a valid source, and raw links
-    105 and 106 grow from it."""
+def test_valid_source_of_a_cluster_and_a_long_segment(monkeypatch):
+    """Cluster point 3 and the long segment 28 below the cluster pair in a
+    valid source, and raw links 105 and 106 grow from it.  They share a
+    ball, and the raw graph equals the reference's."""
     elements, rect = _cluster_above_a_long_segment()
     assert len(elements) == 37
     assert elements[3].kind == POINT and elements[3].fragment_id == 1
     assert elements[28].kind == SEGMENT and elements[28].fragment_id == 6
-    raw = engine.run(elements, rect)
+    raw = _assert_matches_reference(elements, rect, monkeypatch)
     assert (len(raw.nodes), len(raw.links)) == (90, 119)
     assert [ln.id for ln in raw.links if ln.bisector.pair == (3, 28)] \
         == [105, 106]
-    monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", 0)
     eng = engine.Engine(elements, rect)
     assert (3, 28) in {src[2:4] for src in eng._valid_candidates()}
-    assert 28 not in eng.eset._nbr[3]
+    assert (3, 28) in _table_pairs(eng.eset)
 
 
 @pytest.mark.parametrize("scene, stats", [
     pytest.param(_hundred_elements, {
-        "elements": 485, "candidates": 96169, "discarded": 95117,
+        "elements": 485, "candidates": 27979, "discarded": 26927,
         "realized": 793, "events": 4592, "sweep_truncations": 0,
-        "crossing_rows": 30024, "full_solves": 0, "nodes": 1264,
-        "links": 1740}, id="hundred"),
+        "crossing_rows": 185256, "nodes": 1264, "links": 1740},
+        id="hundred"),
     pytest.param(lambda: _boxed(random_scene(200, 7, width=160.0,
                                              height=160.0)[0], 160, 160), {
-        "elements": 958, "candidates": 378160, "discarded": 376079,
+        "elements": 958, "candidates": 60334, "discarded": 58253,
         "realized": 1565, "events": 9233, "sweep_truncations": 0,
-        "crossing_rows": 58295, "full_solves": 0, "nodes": 2619,
-        "links": 3568}, id="random200-7")])
+        "crossing_rows": 392382, "nodes": 2619, "links": 3568},
+        id="random200-7")])
 def test_engine_counters_are_pinned(scene, stats):
     """Every counter of raw.stats on two unsimplified 160x160 random scenes,
     which the pinned sgtext digests do not cover."""
@@ -577,35 +613,30 @@ def test_sweep_bisection_truncates_missed_crossings(monkeypatch):
 
 
 def test_large_mask_takes_the_filtered_path(monkeypatch):
-    """A traced ring mask at twice the benchmark's size is large enough to
-    build the neighbour table at the default cut-off, and gives the raw
-    graph that solving against every element gives."""
+    """A traced ring mask at twice the benchmark's size, 312 elements,
+    takes the one table path that serves every scene size, and gives the
+    reference's raw graph."""
     ring = dict(MASK_SHAPES)["ring"]
     elements, rect = _mask_scene(ring(LCG(1), 128, 56.0, 40.0))
-    assert len(elements) == 312 >= engine._NEIGHBOUR_MIN_ELEMENTS
-    eng = engine.Engine(elements, rect)
-    assert eng.eset._nbr is not None
-    filtered = eng.run()
-    monkeypatch.setattr(engine, "_NEIGHBOUR_MIN_ELEMENTS", math.inf)
-    whole = engine.run(elements, rect)
-    assert _raw_dump(filtered) == _raw_dump(whole)
-    assert filtered.stats["sweep_truncations"] == 0
+    assert len(elements) == 312
+    raw = _assert_matches_reference(elements, rect, monkeypatch)
+    assert raw.stats["sweep_truncations"] == 0
 
 
 def test_neighbour_table_reaches_coplanar_samples():
-    """Qhull leaves samples that nearly coincide with another sample out of
-    the triangulation.  In this scene point element 405 lies 2.2e-16 from a
-    segment's end sample, so only the coplanar remap gives it neighbours;
-    every element must have at least one."""
-    elements, _ = _boxed(random_scene(200, 7, width=160.0,
-                                      height=160.0)[0], 160, 160)
-    nbr = engine.ElementSet(elements)._nbr
-    assert len(nbr) == len(elements) == 958
-    assert nbr[405]
-    assert all(nbr)
-    # the table is symmetric and holds no self-pairs
-    assert all(a in nbr[b] and a != b
-               for a in range(len(nbr)) for b in nbr[a])
+    """Adjacent elements have coinciding samples (a vertex and its
+    segments' end samples).  In random_scene(200, 7) every element shares a
+    ball with itself and with each element adjacent to it, and the relation
+    is symmetric."""
+    elements, rect = _boxed(random_scene(200, 7, width=160.0,
+                                         height=160.0)[0], 160, 160)
+    eset = engine.ElementSet(elements, rect)
+    assert eset.n == len(elements) == 958
+    ptr, ids = eset._share_ptr, eset._share_ids
+    rows = [set(ids[ptr[a]:ptr[a + 1]].tolist()) for a in range(eset.n)]
+    for e in elements:
+        assert {e.id} | e.adjacency <= rows[e.id]
+    assert all(a in rows[b] for a in range(eset.n) for b in rows[a])
 
 
 def test_root_cache_slope():

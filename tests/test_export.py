@@ -33,9 +33,26 @@ class TestSgText:
         assert len(doc.nodes) == len(graph.nodes)
         assert len(doc.links) == len(graph.links)
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(InvalidInputError):
-            parse_sgtext("not a shockgraph file\n")
+    def test_parse_rejects_garbage(self, scene):
+        graph, _, _, _ = scene
+        text = to_sgtext(graph, 100, 100, 1.0, 2.0)
+        lines = text.splitlines()
+        link = next(i for i, ln in enumerate(lines) if ln.startswith("e "))
+        node = next(i for i, ln in enumerate(lines) if ln.startswith("n "))
+
+        def field(i, k, value):
+            parts = lines[i].split()
+            parts[k] = value
+            return "\n".join(lines[:i] + [" ".join(parts)] + lines[i + 1:])
+
+        for bad in ("not a shockgraph file\n",
+                    "\n".join(lines[:link + 5]) + "\n",  # a link cut short
+                    field(0, 2, "wide"),  # header
+                    field(node, 1, "one"), field(node, 3, "x"),  # node
+                    field(link, 2, "a"), field(link, 6, "s"),  # link
+                    field(link + 1, 1, "g")):  # geometry
+            with pytest.raises(InvalidInputError):
+                parse_sgtext(bad)
 
     def test_deterministic(self, scene):
         graph, _, _, _ = scene

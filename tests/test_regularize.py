@@ -91,32 +91,32 @@ def _prune_dump(graph) -> str:
 # several links, isolated collapse sinks and box-side links.
 _PRUNE_DIGESTS = {
     6: {
-        (0.0, False): "7779d1affcb37ccd252227edb922c1a7"
-                      "f95aa70c331b3deeeda58bc654ee9045",
-        (0.0, True): "207f9ce10aa695d13aa77df35f1269c4"
-                     "89903f83aec7fbd70e823bf85ba25388",
-        (1.0, False): "a6dd0cba5328887a7a673ab648d7aa4c"
-                      "a324c588fe006ca433eb90223a07732b",
-        (1.0, True): "aa51b31d0aa47072e648503669116b07"
-                     "963f01ff6c650354be2686d7bade946b",
-        (2.0, False): "ade3381f11005c3f397f317af3afd6f0"
-                      "6b6a70dca3df35a6f2efeb8e3f4775a3",
-        (2.0, True): "1679a3e2006bf7fa694cb662893b090f"
-                     "ddd473ae0e9319eca36f0bc317935d20",
+        (0.0, False): "34c9cb0bec86769bff5d67ab92dd06da"
+                      "90011a4c91893af6573291472f81e257",
+        (0.0, True): "79a69b5e5b7d0e0ded461bd5fb9215b8"
+                     "8f71ccaec76d0383e40397805c1fb20a",
+        (1.0, False): "e74ff66ec48a115d112ac28e3ff3d870"
+                      "4aa0540109678ed9c6b58ccb0438c04a",
+        (1.0, True): "0c46cd4d7887244e1a8f89c82b089dd0"
+                     "9485905340f7f49368554565664957d9",
+        (2.0, False): "004648ab17e1d6bdd78941163e540340"
+                      "7f8acbf20e771d965021455bcc158588",
+        (2.0, True): "5e72851ea2eabe9d6c9fcb0ff4f15ec9"
+                     "2e14e27d7d0f4aa132c91104171c7ff6",
     },
     12: {
-        (0.0, False): "4b42e935854cf1b3d9ccd34405d90baf"
-                      "de664e3d8fe13d686d76cec4a14d54f4",
-        (0.0, True): "bec90b4d00a05983414395457a601192"
-                     "7e44b24fec7e32c30257324ecf434dc7",
-        (1.0, False): "9e49586f4b5e04b284715085fda9e7b4"
-                      "1eb1b7bb671de39027ae5dadd3c19fd4",
-        (1.0, True): "584c84ac0062ad5b0603f4322f1479a7"
-                     "3addea7ee411ea00941c784017ec2e07",
-        (2.0, False): "bc86448feeb07a4a560ff6bf52a09ff4"
-                      "853b6deb250d13a01e4d4038a4e40c28",
-        (2.0, True): "6ce5612f4c94d686cbfe13dcb2cc0b7d"
-                     "ba87c1136285c3e1b4eaa95c192ae0c2",
+        (0.0, False): "652bc8c366fd275ae50b0636d5a0f251"
+                      "22c273ce483e0dcb11073997268a8186",
+        (0.0, True): "1e66f878252eaef9bf3b9205bacaf53a"
+                     "8a4695a79002b0a380f58a6e2de8012f",
+        (1.0, False): "e40038b1d2b3586509aae18e2378ed23"
+                      "2a28d980839d60e509c0b0537a27dd0d",
+        (1.0, True): "b16794826c871d6f78515fb48d273787"
+                     "90e9546cb49431b6b238428ecd06efb7",
+        (2.0, False): "50fedb292c104ef0cfbe02202707ef48"
+                      "5c7881ea5f6480c1ffb0d61f32904192",
+        (2.0, True): "10ae69520f6cb2d7179352822ddd244b"
+                     "0389b85f9b01eb460404e5e1440b0929",
     },
 }
 
