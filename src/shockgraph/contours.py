@@ -234,7 +234,13 @@ def decompose(fragments: list[ContourFragment]) -> list[BoundaryElement]:
     vertex_ids: dict[tuple, int] = {}
 
     def vertex_id(p, frag_id):
-        kx, ky = round(p[0] / EPS_GEOM), round(p[1] / EPS_GEOM)
+        try:
+            kx = round(float(p[0]) / EPS_GEOM)
+            ky = round(float(p[1]) / EPS_GEOM)
+        except OverflowError:
+            raise InvalidInputError(
+                f"fragment {frag_id}: vertex ({p[0]}, {p[1]}) is too large "
+                f"for a grid key at {EPS_GEOM} px") from None
         if (kx, ky) in vertex_ids:
             return vertex_ids[(kx, ky)]
         # a vertex within EPS_GEOM across a cell boundary is the same one;

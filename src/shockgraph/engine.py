@@ -79,12 +79,15 @@ class ElementSet:
     interior; the segment's endpoint PointSources own those regions, so the
     minimum over all elements still equals the true distance to the boundary.
 
-    Proximity queries go through a kd-tree over sample points spaced at most
-    SAMPLE_STEP apart, so any point of an element lies within SAMPLE_STEP/2 of
-    a sample; the candidates it returns are then tested exactly.
+    One sample set serves every proximity query: every point element, and
+    every segment at a spacing of at most step = side / SAMPLES_PER_SIDE,
+    ends included.  side is the cell side below, so the sample count does
+    not depend on the coordinate unit.  The samples within radius + step/2
+    of q, from one kd-tree, hold every element within radius of q; exact
+    distances trim them.
 
     The table.  A grid of square cells, about one per element, covers the
-    box of the samples and the clip box.  For a cell c with half-diagonal
+    box of the element ends and the clip box.  For a cell c with half-diagonal
     h, D3(c) is the distance from its centre to a sample of the third
     distinct element nearest the centre, plus h: an upper bound on the
     distance from any point of c to three distinct elements.  ball(c) holds
@@ -125,9 +128,9 @@ class ElementSet:
       every element.
     """
 
-    SAMPLE_STEP = 0.5
-    # nearest samples of a cell centre read for its bound before the
-    # coarse fallback (see _reach)
+    # samples per cell side on every segment (see _build_table)
+    SAMPLES_PER_SIDE = 4
+    # nearest samples of a cell centre read first for its bound (see _reach)
     CELL_K = 16
     # cell centres per kd-tree ball query while the balls are built
     BALL_CHUNK = 256
@@ -151,9 +154,7 @@ class ElementSet:
         # elements gathers in one call
         self._kind = np.array([r[0] for r in self._rows], dtype=np.int8)
         self._cols = np.array([r[1:] for r in self._rows]).T.copy()
-        xy, self._sample_eid = self._samples(self.SAMPLE_STEP)
-        self._tree = cKDTree(xy)
-        self._build_table(xy, box)
+        self._build_table(box)
 
     def _samples(self, step):
         """Sample points (m, 2) and their element ids (m,): every point
@@ -172,35 +173,41 @@ class ElementSet:
         return (np.vstack([self._cols[:2, pid].T, xy]),
                 np.concatenate([pid, sid[seg]]))
 
-    def _build_table(self, xy, box):
-        """The grid, its bounds and balls, and M (see the class docstring).
-        Cells are numbered ix * ny + iy; number nx * ny is the exterior,
-        whose bound is +inf and whose validation ball is every element."""
-        lo = np.minimum(xy.min(axis=0), (box.xmin, box.ymin))
-        hi = np.maximum(xy.max(axis=0), (box.xmax, box.ymax))
+    def _build_table(self, box):
+        """The samples and their kd-tree, the grid, its bounds and balls,
+        and M (see the class docstring).  Cells are numbered ix * ny + iy;
+        number nx * ny is the exterior, whose bound is +inf and whose
+        validation ball is every element."""
+        # the element ends, as _samples computes them: its extreme samples
+        ends = np.hstack([self._cols[:2],
+                          self._cols[:2] + self._cols[4] * self._cols[2:4]])
+        lo = np.minimum(ends.min(axis=1), (box.xmin, box.ymin))
+        hi = np.maximum(ends.max(axis=1), (box.xmax, box.ymax))
         w, h = (hi - lo).tolist()
-        # a zero-area box (collinear samples) falls back to its length
+        # a zero-area box (collinear ends) falls back to its length
         side = max(math.sqrt(w * h / self.n), max(w, h) / self.n)
         if not 0.0 < side < _INF:
             side = 1.0
-        nx, ny = int(w // side) + 1, int(h // side) + 1
+        # cell counts that no rounding of w / side tips past an integer, so
+        # the grid scales with the scene; side grows to cover the box
+        nx, ny = int(w / side * (1 - 1e-9)) + 1, int(h / side * (1 - 1e-9)) + 1
+        side = max(side, w / nx, h / ny)
+        self._step = side / self.SAMPLES_PER_SIDE
+        xy, self._sample_eid = self._samples(self._step)
+        self._tree = cKDTree(xy)
         ix, iy = np.divmod(np.arange(nx * ny), ny)
         centres = np.column_stack([lo[0] + (ix + 0.5) * side,
                                    lo[1] + (iy + 0.5) * side])
         half = side * math.sqrt(0.5)
-        # samples at most side apart, for the queries whose radius is of
-        # the order of a cell
-        cxy, ceid = self._samples(side)
-        coarse = (cKDTree(cxy), ceid, side)
-        d1, d3 = self._reach(centres, coarse)
+        d3 = self._reach(centres)
         bound = d3 + half
         limit = bound + 1e-5 * (1.0 + bound)
         rim = (ix == 0) | (ix == nx - 1) | (iy == 0) | (iy == ny - 1)
-        near = d1[rim] + half
+        near = self._tree.query(centres[rim])[0] + half
         # one query for the cells' balls and the rim's nearest-element balls
         ptr, ids = self._balls(
             np.vstack([centres, centres[rim]]),
-            np.concatenate([limit, near + 1e-5 * (1.0 + near)]) + half, coarse)
+            np.concatenate([limit, near + 1e-5 * (1.0 + near)]) + half)
         outer = np.unique(ids[ptr[nx * ny]:])
         ptr, ids = ptr[:nx * ny + 1], ids[:ptr[nx * ny]]
         self._cell_lo, self._cell_side, self._cell_shape = lo, side, (nx, ny)
@@ -214,48 +221,42 @@ class ElementSet:
         share.sort_indices()
         self._share_ptr, self._share_ids = share.indptr, share.indices
 
-    def _reach(self, centres, coarse):
-        """(D1, D3) at centres, without the half-diagonal: the distance to
-        the nearest sample, and to a sample of the third distinct element
-        (+inf with fewer than three elements).  Where the CELL_K nearest
-        samples hold fewer than three elements, a doubling query of the
-        coarse samples, which lie on the elements too, finds the third."""
-        k = min(self.CELL_K, len(self._sample_eid))
-        ds, idx = self._tree.query(centres, k=k)
-        ds, idx = ds.reshape(len(centres), k), idx.reshape(len(centres), k)
-        d3 = _third_distance(ds, self._sample_eid[idx])
-        rest = np.nonzero(np.isinf(d3))[0]
-        tree, eid, _ = coarse
-        while len(rest) and self.n >= 3:
-            k = min(2 * k, len(eid))
-            dr, ir = tree.query(centres[rest], k=k)
-            d = _third_distance(dr.reshape(len(rest), k),
-                                eid[ir].reshape(len(rest), k))
-            d3[rest] = d
-            rest = rest[np.isinf(d)]
-        return ds[:, 0], d3
+    def _reach(self, centres):
+        """D3 at centres, without the half-diagonal: the distance to a
+        sample of the third distinct element (+inf with fewer than three
+        elements).  A row whose nearest samples hold fewer than three
+        elements asks again for twice as many, starting from CELL_K."""
+        eid, d3 = self._sample_eid, np.full(len(centres), _INF)
+        rest, k = np.arange(len(centres)), self.CELL_K
+        while len(rest) and k < 2 * len(eid):
+            k = min(k, len(eid))
+            ds, idx = self._tree.query(centres[rest], k=k)
+            d3[rest] = _third_distance(ds.reshape(len(rest), k),
+                                       eid[idx].reshape(len(rest), k))
+            rest, k = rest[np.isinf(d3[rest])], 2 * k
+        return d3
 
-    def _balls(self, centres, radius, coarse):
+    def _balls(self, centres, radius):
         """CSR (ptr, ids) over centres: the elements within radius of each
         centre (closed distance), ascending; every element where radius is
-        +inf.  The coarse samples, at most side apart, within radius +
-        side/2 give a superset, which exact distances trim; BALL_CHUNK
-        centres are queried at a time, so the query's lists stay small."""
+        +inf.  The samples within radius + step/2 give a superset, which
+        exact distances trim; BALL_CHUNK centres are queried at a time, so
+        the query's lists stay small."""
         n, keys = self.n, []
-        tree, eid, side = coarse
         for lo in range(0, len(centres), self.BALL_CHUNK):
             cells = np.arange(lo, min(lo + self.BALL_CHUNK, len(centres)))
             fin = np.isfinite(radius[cells])
             keys.append((cells[~fin, None] * n + np.arange(n)).ravel())
             if not fin.any():
                 continue
-            found = tree.query_ball_point(centres[cells[fin]],
-                                          radius[cells[fin]] + 0.5 * side,
-                                          return_sorted=False)
+            found = self._tree.query_ball_point(
+                centres[cells[fin]], radius[cells[fin]] + 0.5 * self._step,
+                return_sorted=False)
             lens = np.fromiter(map(len, found), dtype=int, count=len(found))
             flat = np.fromiter(itertools.chain.from_iterable(found),
                                dtype=int, count=int(lens.sum()))
-            key = np.unique(np.repeat(cells[fin], lens) * n + eid[flat])
+            key = np.unique(np.repeat(cells[fin], lens) * n
+                            + self._sample_eid[flat])
             c, e = np.divmod(key, n)
             keys.append(key[self._closed_dist(centres[c, 0], centres[c, 1], e)
                             <= radius[c]])
@@ -348,10 +349,9 @@ class ElementSet:
 
     def _ball_elements(self, q, radius, exclude_ids):
         """Distinct element ids outside exclude_ids with a sample within
-        radius + SAMPLE_STEP/2 of q: a superset of the elements within
-        radius of q."""
-        sids = self._tree.query_ball_point(
-            q, radius + 0.5 * self.SAMPLE_STEP + 1e-9)
+        radius + step/2 of q: a superset of the elements within radius of
+        q."""
+        sids = self._tree.query_ball_point(q, radius + 0.5 * self._step + 1e-9)
         return set(self._sample_eid[sids].tolist()).difference(exclude_ids)
 
     def _closed_dist(self, x, y, ids):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from shockgraph import engine
-from shockgraph.contours import check_no_crossings, decompose
+from shockgraph.contours import decompose
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box, prune
 from shockgraph.scenes import rectangle_fragment
@@ -21,7 +21,6 @@ def build_scene(fragments, width, height, lam=None):
     """
     frags, rect, box_fid = augment_with_box(list(fragments), width, height)
     elements = decompose(frags)
-    check_no_crossings(elements)
     graph = build_graph(engine.run(elements, rect), elements,
                         scene=(width, height))
     if lam is not None:

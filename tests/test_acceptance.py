@@ -19,8 +19,7 @@ from shockgraph.bisectors import (bisector_endpoint_own_segment,
                                   bisector_point_point, bisector_point_segment,
                                   make_bisectors)
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
-                                 check_no_crossings, decompose,
-                                 resample_polyline)
+                                 decompose, resample_polyline)
 from shockgraph.corpus import verify_corpus
 from shockgraph.export import format_sgtext, parse_sgtext, to_sgtext
 from shockgraph.features import (FEATURE_LENGTH, PREFIX_LENGTH, edge_features,
@@ -31,6 +30,8 @@ from shockgraph.scenes import (LCG, equilateral_point_elements,
                                random_element_scene, random_scene,
                                rectangle_fragment, regular_polygon_fragment,
                                smooth_curve_fragment, square_fragment)
+
+from conftest import build_scene
 
 N_PAIRS = 1000
 N_SAMPLES = 1000
@@ -56,17 +57,6 @@ def _random_segment(rng, cx, cy, rad):
 
 def _seg_elem(eid, a, b):
     return BoundaryElement(eid, SEGMENT, (tuple(a), tuple(b)), eid)
-
-
-def _build(fragments, width, height, lam=None):
-    frags, rect, box_fid = augment_with_box(list(fragments), width, height)
-    elements = decompose(frags)
-    check_no_crossings(elements)
-    graph = build_graph(engine.run(elements, rect), elements,
-                        scene=(width, height))
-    if lam is not None:
-        graph = prune(graph, elements, lam=lam, box_fragment_id=box_fid)
-    return graph, elements, rect, box_fid
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +187,7 @@ def test_parabola_focus_directrix_property():
 # ---------------------------------------------------------------------------
 
 def test_golden_rectangle_junctions():
-    graph, _, _, _ = _build([rectangle_fragment()], 100, 100)
+    graph, _, _, _ = build_scene([rectangle_fragment()], 100, 100)
     hits = []
     for want in ((1.0, 0.0), (-1.0, 0.0)):
         best = min(graph.nodes,
@@ -211,7 +201,7 @@ def test_golden_rectangle_junctions():
 
 
 def test_golden_square_center():
-    graph, _, _, _ = _build([square_fragment()], 100, 100)
+    graph, _, _, _ = build_scene([square_fragment()], 100, 100)
     best = min(graph.nodes,
                key=lambda n: np.hypot(n.location[0], n.location[1]))
     assert np.hypot(*best.location) <= 1e-6
@@ -246,7 +236,8 @@ def test_oracle_equivalence_20_scenes():
     for seed in range(20):
         n_frag = 10 + (seed * 30) // 19  # 10..40
         frags, _ = random_scene(n_frag, seed)
-        graph, elements, rect, _ = _build(frags, 100, 100)  # unregularized
+        # unregularized
+        graph, elements, rect, _ = build_scene(frags, 100, 100)
         field = oracle.compute_field(elements, rect, GRID_H)
         cells = oracle.extract_shock_cells(field, GRID_H)
         detectable = oracle.graph_shock_points(graph, GRID_H, elements)
@@ -280,7 +271,7 @@ def test_validity_invariant():
     for seed in (3, 7, 11):
         scenes.append((random_scene(12, seed)[0], 100, 100))
     for frags, w, h in scenes:
-        graph, elements, _, _ = _build(frags, w, h, lam=1.0)
+        graph, elements, _, _ = build_scene(frags, w, h, lam=1.0)
         for link in graph.links:
             us = np.linspace(0.0, link.length, 200)
             idx, ss = link.piece_params(us)
@@ -349,7 +340,7 @@ def test_polyline_invariance():
     graphs = []
     for eps in epsilons:
         frag = resample_polyline(base, eps)
-        graph, _, _, _ = _build([frag], 100, 100, lam=1.0)
+        graph, _, _, _ = build_scene([frag], 100, 100, lam=1.0)
         graphs.append(graph)
     for (ea, ga), (eb, gb) in zip(zip(epsilons, graphs),
                                   list(zip(epsilons, graphs))[1:]):
@@ -369,7 +360,7 @@ def test_polyline_invariance():
 
 def test_feature_contract(tmp_path):
     frags, _ = random_scene(12, 5)
-    graph, elements, rect, box_fid = _build(frags, 100, 100, lam=1.0)
+    graph, elements, rect, box_fid = build_scene(frags, 100, 100, lam=1.0)
     saw_deg2 = False
     for nd in graph.nodes:
         vec = node_features(nd, graph)
@@ -448,7 +439,7 @@ def test_hundred_fragment_scene_runtime():
     walls = []
     for _ in range(3):
         t0 = time.perf_counter()
-        _build(frags, 160, 160, lam=1.0)
+        build_scene(frags, 160, 160, lam=1.0)
         walls.append(time.perf_counter() - t0)
     wall = min(walls)
     assert wall < 2.0, f"100-fragment scene took {wall:.2f}s"
@@ -462,7 +453,7 @@ def test_determinism_byte_identical_sgtext():
     frags, _ = random_scene(15, 9)
     outs = []
     for _ in range(2):
-        graph, elements, _, box_fid = _build(list(frags), 100, 100, lam=1.0)
+        graph, elements, _, box_fid = build_scene(frags, 100, 100, lam=1.0)
         outs.append(to_sgtext(graph, 100, 100, 1.0, 2.0))
     assert outs[0] == outs[1]
     # re-assembling an assembled graph is a byte-level fixed point

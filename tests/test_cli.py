@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from shockgraph import cli, engine
-from shockgraph.contours import (ContourFragment, check_no_crossings,
-                                 decompose, format_scene_text,
-                                 simplify_polyline)
+from shockgraph.contours import (ContourFragment, decompose,
+                                 format_scene_text, simplify_polyline)
 from shockgraph.errors import DegenerateInputError
 from shockgraph.export import to_graphml, to_sgtext
 from shockgraph.graph import build_graph
@@ -25,7 +24,6 @@ def _graph_at_defaults(path):
     frags = [simplify_polyline(f, 0.8) for f in frags]
     frags, rect, box_fid = augment_with_box(frags, width, height, 2.0)
     elements = decompose(frags)
-    check_no_crossings(elements)
     graph = build_graph(engine.run(elements, rect), elements,
                         scene=(width, height))
     graph = prune(graph, elements, lam=1.0, box_fragment_id=box_fid)
@@ -72,6 +70,19 @@ def test_vertices_across_a_key_cell_boundary_are_one_element(tmp_path,
         ContourFragment(1, np.array([[10.0 + 6e-10, 10.0], [15.0, 5.0]]))]))
     assert cli.main([str(scene), "-o", str(tmp_path)]) == cli.EXIT_OK
     assert "elements=13" in capsys.readouterr().out
+
+
+def test_huge_scene_is_a_parse_error(tmp_path, capsys):
+    """A scene so large that a box corner over EPS_GEOM overflows
+    decompose's vertex key is a parse error, and nothing is written."""
+    scene = tmp_path / "huge.scene"
+    scene.write_text("scene 1e300 1e300\n"
+                     "fragment 0 closed\nv 10 10\nv 20 10\nv 15 18\n")
+    out = tmp_path / "out"
+    assert cli.main([str(scene), "-o", str(out)]) == cli.EXIT_PARSE
+    report = capsys.readouterr().out
+    assert "status=error" in report and "too large" in report
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_degenerate_input_is_a_parse_error():

@@ -8,8 +8,7 @@ from scipy.spatial import cKDTree
 
 from shockgraph import engine
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
-                                 ContourFragment, check_no_crossings,
-                                 decompose, parse_scene_text,
+                                 ContourFragment, decompose, parse_scene_text,
                                  simplify_polyline, trace_binary_mask)
 from shockgraph.errors import NonterminationError
 from shockgraph.geometry import EPS_REL, Rect
@@ -23,9 +22,7 @@ from perfbench.workloads import MASK_SHAPES
 
 def _rectangle_setup():
     frags, rect, _ = augment_with_box([rectangle_fragment()], 100, 100)
-    elements = decompose(frags)
-    check_no_crossings(elements)
-    return elements, rect
+    return decompose(frags), rect
 
 
 class TestEnumeration:
@@ -91,7 +88,6 @@ class TestDeterminism:
             if isinstance(img, tuple) else augment_with_box(
                 frags, img.xmax - img.xmin, img.ymax - img.ymin)
         elements = decompose(frags)
-        check_no_crossings(elements)
         a = engine.run(elements, rect)
         b = engine.run(elements, rect)
         assert a.stats == b.stats
@@ -184,17 +180,30 @@ def _hundred_elements():
                   160, 160)
 
 
+def _hundred_moved(scale, shift):
+    return _moved(random_scene(100, 101, width=160.0, height=160.0)[0],
+                  160, 160, scale, shift)
+
+
 @pytest.mark.parametrize("scene, n_elements", [
     pytest.param(_corpus_elements, 16, id="corpus-rectangle"),
-    pytest.param(_hundred_elements, 485, id="hundred")])
+    pytest.param(_hundred_elements, 485, id="hundred"),
+    pytest.param(lambda: _hundred_moved(1e3, 0.0), 485, id="hundred-scale1e3"),
+    pytest.param(lambda: _hundred_moved(1.0, 1e5), 485,
+                 id="hundred-shift1e5")])
 def test_proximity_queries_match_full_scan(scene, n_elements):
     """The kd-tree queries of ElementSet return what a scan of every
-    element returns, at random query points, radii and excluded pairs."""
+    element returns, at random query points, radii and excluded pairs.  The
+    samples are spaced from the cell side, so this holds however the scene
+    is scaled or shifted."""
     elements, rect = scene()
     assert len(elements) == n_elements
     eset = engine.ElementSet(elements, rect)
     rng = LCG(7)
     span = max(rect.xmax - rect.xmin, rect.ymax - rect.ymin)
+    # the two distance formulas agree to a few ulps of the coordinates
+    tol = max(1e-12, 4 * float(np.spacing(max(
+        abs(rect.xmin), abs(rect.ymin), abs(rect.xmax), abs(rect.ymax)))))
     found = 0
     for _ in range(300):
         q = (rng.uniform(rect.xmin, rect.xmax), rng.uniform(rect.ymin, rect.ymax))
@@ -205,11 +214,11 @@ def test_proximity_queries_match_full_scan(scene, n_elements):
         assert np.isinf(got[0]).tolist() == np.isinf(open_d).tolist()
         finite = np.isfinite(open_d)
         assert got[0][finite] == pytest.approx(open_d[finite], rel=1e-12,
-                                               abs=1e-12)
+                                               abs=tol)
         open_d[list(excl)] = closed_d[list(excl)] = math.inf
         assert eset.min_third_along(
             np.array([q]), np.array([open_d.min() + 1e-9]), excl)[0] == \
-            pytest.approx(open_d.min(), rel=1e-12, abs=1e-12)
+            pytest.approx(open_d.min(), rel=1e-12, abs=tol)
         # a random radius, and radii that just reach the nearest element,
         # whose closest point usually lies between two kd-tree samples
         for radius in (rng.uniform(0.0, 0.15 * span), open_d.min() + 1e-9,
@@ -318,14 +327,19 @@ def test_candidate_pass_memory_slope():
     assert slope <= 1.5, f"candidate-pass peak memory slope {slope:.2f}"
 
 
-def _moved_random6(seed, scale, shift):
-    """random_scene(6, seed) boxed in a 100x100 image, then scaled about the
-    origin by scale and shifted by shift in x and y, box included."""
-    frags, rect, _ = augment_with_box(random_scene(6, seed)[0], 100, 100)
+def _moved(frags, width, height, scale, shift):
+    """frags boxed in a width x height image, then scaled about the origin
+    by scale and shifted by shift in x and y, box included."""
+    frags, rect, _ = augment_with_box(list(frags), width, height)
     frags = [ContourFragment(f.id, scale * f.vertices + shift, f.closed)
              for f in frags]
     return decompose(frags), Rect(*(scale * v + shift for v in (
         rect.xmin, rect.ymin, rect.xmax, rect.ymax)))
+
+
+def _moved_random6(seed, scale, shift):
+    """random_scene(6, seed) in a 100x100 image, moved as _moved moves it."""
+    return _moved(random_scene(6, seed)[0], 100, 100, scale, shift)
 
 
 def _raw_dump(raw):
@@ -348,11 +362,8 @@ def _reference_engine(elements, rect, monkeypatch):
     candidate is validated against every element, and every branch solves
     its crossings against every element.  This is the brute-force
     reference."""
-    reach = engine.ElementSet._reach
-
-    def no_bound(self, centres, coarse):
-        d1, d3 = reach(self, centres, coarse)
-        return d1, np.full_like(d3, math.inf)
+    def no_bound(self, centres):
+        return np.full(len(centres), math.inf)
 
     with monkeypatch.context() as m:
         m.setattr(engine.ElementSet, "_reach", no_bound)
@@ -409,6 +420,18 @@ def test_cell_bound_drops_only_what_maybe_valid_drops(scene, monkeypatch):
 def _table_pairs(eset):
     i, j = eset.pairs()
     return set(zip(i.tolist(), j.tolist()))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_table_does_not_depend_on_the_coordinate_unit(seed):
+    """Scaling a scene by 1e-3 or 1e3, or shifting it by 1e5, keeps the
+    ElementSet's sample count and its pairs: the samples are spaced from
+    the cell side, which moves with the scene, not at a fixed pixel step."""
+    still = engine.ElementSet(*_moved_random6(seed, 1.0, 0.0))
+    for move in ((1e-3, 0.0), (1e3, 0.0), (1.0, 1e5)):
+        moved = engine.ElementSet(*_moved_random6(seed, *move))
+        assert len(moved._sample_eid) == len(still._sample_eid), move
+        assert _table_pairs(moved) == _table_pairs(still), move
 
 
 _SOUNDNESS_SCENES = (
