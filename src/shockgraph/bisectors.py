@@ -1,4 +1,5 @@
-"""Analytic bisectors of point/segment source pairs.
+"""Analytic bisectors of point/segment source pairs, with every per-kind
+closed form behind the Bisector interface.
 
 Every bisector is evaluated in one parameter t, its natural parameter, in
 which point and radius are closed form: t is arc length for the straight
@@ -6,9 +7,17 @@ kinds and the directrix coordinate xi for parabolas, whose arc length s(xi)
 has no closed-form inverse. The domain is [t_lo, t_hi]. The radius function
 r(t) is the common distance to the two generators, dradius(t) its derivative
 per unit arc length, and contacts(t) returns the tangency points on each
-generator, ordered (left-of-+t, right-of-+t). Arc length is an output only:
+generator, ordered (left-of-+t, right-of-+t): each side is stored as its
+generator's data (a point, or a segment's start and unit direction), and a
+segment side touches at the foot of point(t). Arc length is an output only:
 s_of_t converts to it, and t_of_s back where samples must be uniform in arc
 length.
+
+The propagation engine asks each bisector two more things in closed form:
+crossing_params, the parameters where a third element's wavefront arrives
+with the bisector's own (the squared deficit dist(p, e)^2 - r^2 is a
+quadratic in t for every kind), and param_near, the parameter of the point
+nearest a location.
 """
 from __future__ import annotations
 
@@ -36,6 +45,26 @@ def _lex_positive(v):
     return v
 
 
+def _quad_roots(A, B, C):
+    """Real roots of A t^2 + B t + C = 0, vectorized; NaN where absent.
+
+    Returns an (m, 2) array. Linear rows (A ~ 0) put their root in column 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = B * B - 4.0 * A * C
+        rt = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+        # numerically stable split: bq carries the large root's numerator
+        bq = -0.5 * (B + np.copysign(rt, B))
+        lin = np.abs(A) < 1e-14
+        r1 = np.where(lin, -C / B, bq / A)
+        r2 = np.where(lin, np.nan, C / bq)
+        # non-finite roots (0/0, x/0) are "absent"; callers filter on isfinite
+        out = np.empty(r1.shape + (2,))
+        out[..., 0] = np.where(np.isfinite(r1), r1, np.nan)
+        out[..., 1] = np.where(np.isfinite(r2), r2, np.nan)
+    return out
+
+
 class Bisector:
     """Base class; subclasses provide the analytic parametrization."""
 
@@ -45,6 +74,9 @@ class Bisector:
     branch: int = 0
     t_lo: float = -_UNBOUNDED
     t_hi: float = _UNBOUNDED
+    # per side (plus, minus), its generator: (segment start, unit direction)
+    # arrays, or (point, None) with the point an (x, y) tuple of floats
+    sides: tuple
 
     def point(self, t):
         raise NotImplementedError
@@ -63,17 +95,42 @@ class Bisector:
         raise NotImplementedError
 
     def contacts(self, t):
-        """(bp_plus, bp_minus) tangency points at parameter t."""
+        """(bp_plus, bp_minus) tangency points at parameter t: two (x, y)
+        tuples for a float t, two (..., 2) arrays for an array."""
+        t = float(t) if isinstance(t, float) else np.asarray(t, dtype=float)
+        plus, minus = self.sides
+        return self._contact(t, *plus), self._contact(t, *minus)
+
+    def _contact(self, t, p, d):
+        """One side's contact: a point side touches at the point itself, a
+        segment side at its foot."""
+        if d is not None:
+            return self._foot(t, p, d)
+        if isinstance(t, float):
+            return p
+        return np.broadcast_to(p, t.shape + (2,))
+
+    def _foot(self, t, a, d):
+        """Projection of point(t) onto the line a + u d."""
+        q = self.point(t)
+        if isinstance(t, float):
+            u = (q[0] - a[0]) * d[0] + (q[1] - a[1]) * d[1]
+            return (float(a[0] + u * d[0]), float(a[1] + u * d[1]))
+        u = (q[..., 0] - a[0]) * d[0] + (q[..., 1] - a[1]) * d[1]
+        return np.stack([a[0] + u * d[0], a[1] + u * d[1]], axis=-1)
+
+    def crossing_params(self, rows):
+        """Every (parameter, element id) wavefront crossing with the
+        elements of rows, in the layout of ElementSet.crossing_rows: (point
+        ids, their (5, k) columns, segment ids, their columns), a column
+        being (ax, ay, dx, dy, L).  Returns (params, ids) arrays, open
+        segment foot windows enforced, absent roots NaN; every quadratic of
+        the bisector goes through one _quad_roots call."""
         raise NotImplementedError
 
-    def contacts_array(self, ts):
-        """contacts() over a parameter vector: two (n, 2) arrays.  Constant
-        contact loci (point generators) are broadcast."""
-        ts = np.asarray(ts, dtype=float)
-        cp, cm = self.contacts(ts)
-        shape = ts.shape + (2,)
-        return (np.broadcast_to(np.asarray(cp, dtype=float), shape),
-                np.broadcast_to(np.asarray(cm, dtype=float), shape))
+    def param_near(self, loc) -> float:
+        """Parameter of the point nearest loc (closed form per kind)."""
+        raise NotImplementedError
 
     def argmin_radius(self):
         """Parameter of the radius minimum over [t_lo, t_hi]."""
@@ -111,7 +168,11 @@ class Bisector:
 
 
 class _LineLike(Bisector):
-    """Straight bisector: p(t) = origin + t * direction, t = arc length."""
+    """Straight bisector: p(t) = origin + t * direction, t = arc length.
+    Each kind sets radius_sq = (alpha, gamma), with r(t)^2 = alpha t^2 +
+    gamma."""
+
+    radius_sq: tuple
 
     def __init__(self, origin, direction):
         self.origin = np.asarray(origin, dtype=float)
@@ -132,6 +193,48 @@ class _LineLike(Bisector):
     def curvature(self, t):
         return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
 
+    def param_near(self, loc) -> float:
+        o, w = self.origin, self.direction
+        return (loc[0] - o[0]) * w[0] + (loc[1] - o[1]) * w[1]
+
+    def crossing_params(self, rows):
+        pid, pcol, sid, scol = rows
+        px, py = pcol[0], pcol[1]
+        ax, ay, dx, dy, L = scol
+        npt = len(pid)
+        o, w = self.origin, self.direction
+        alpha, gamma = self.radius_sq
+        relx, rely = px - o[0], py - o[1]
+        c0 = dx * (o[1] - ay) - dy * (o[0] - ax)
+        c1 = dx * w[1] - dy * w[0]
+        roots = _quad_roots(
+            np.concatenate([np.full(npt, 1.0 - alpha), c1 * c1 - alpha]),
+            np.concatenate([-2.0 * (relx * w[0] + rely * w[1]),
+                            2.0 * c0 * c1]),
+            np.concatenate([relx ** 2 + rely ** 2 - gamma,
+                            c0 * c0 - gamma]))
+        params = [roots[:npt, 0], roots[:npt, 1]]
+        ids = [pid, pid]
+        t0 = (o[0] - ax) * dx + (o[1] - ay) * dy
+        tg = w[0] * dx + w[1] * dy
+        for col in (0, 1):
+            rr = roots[npt:, col]
+            foot = t0 + rr * tg
+            params.append(np.where((foot > 1e-12) & (foot < L - 1e-12),
+                                   rr, np.nan))
+            ids.append(sid)
+        # foot-window entry/exit: the open distance jumps there, so it
+        # counts as a crossing whenever the perpendicular distance is
+        # already within the front radius
+        tgs = np.where(np.abs(tg) < 1e-14, np.nan, tg)
+        for lim in (0.0, L):
+            rr = (lim - t0) / tgs
+            dperp = np.abs(c0 + c1 * rr)
+            rad = np.sqrt(np.maximum(alpha * rr * rr + gamma, 0.0))
+            params.append(np.where(dperp <= rad + 1e-9, rr, np.nan))
+            ids.append(sid)
+        return np.concatenate(params), np.concatenate(ids)
+
     def rect_intervals(self, rect: Rect):
         """Liang-Barsky: the t-interval of the line inside rect, if any."""
         o, d = self.origin, self.direction
@@ -149,6 +252,11 @@ class _LineLike(Bisector):
         return [(lo, hi)] if lo < hi else []
 
 
+def _point_side(p):
+    """A point generator's side: its (x, y) as Python floats."""
+    return (float(p[0]), float(p[1])), None
+
+
 class PointPointBisector(_LineLike):
     """Perpendicular bisector line of two points; r(t) = hypot(half, t)."""
 
@@ -163,8 +271,9 @@ class PointPointBisector(_LineLike):
             raise DegenerateInputError("coincident point pair")
         super().__init__((a + b) / 2.0, perp(d) / L)
         self.half = L / 2.0
-        self.a, self.b = a, b
+        self.radius_sq = (1.0, self.half * self.half)
         # a lies left of the +t tangent (perp rotates +90deg)
+        self.sides = (_point_side(a), _point_side(b))
         self.gen_plus, self.gen_minus = id_a, id_b
 
     def radius(self, t):
@@ -173,18 +282,16 @@ class PointPointBisector(_LineLike):
     def dradius(self, t):
         return np.asarray(t) / np.hypot(self.half, t)
 
-    def contacts(self, t):
-        return tuple(self.a), tuple(self.b)
-
 
 class LinearRadiusLine(_LineLike):
     """Line bisector with r(t) = slope * |t - t_apex| (segment pairs and
     endpoint perpendiculars)."""
 
-    def __init__(self, origin, direction, slope, contact_fns, gen_plus, gen_minus):
+    def __init__(self, origin, direction, slope, sides, gen_plus, gen_minus):
         super().__init__(origin, direction)
         self.slope = float(slope)
-        self._contact_fns = contact_fns  # (plus_fn, minus_fn) of t
+        self.radius_sq = (self.slope * self.slope, 0.0)
+        self.sides = sides
         self.gen_plus, self.gen_minus = gen_plus, gen_minus
 
     def radius(self, t):
@@ -192,9 +299,6 @@ class LinearRadiusLine(_LineLike):
 
     def dradius(self, t):
         return self.slope * np.sign(np.asarray(t, dtype=float))
-
-    def contacts(self, t):
-        return self._contact_fns[0](t), self._contact_fns[1](t)
 
 
 class PerpendicularBisector(LinearRadiusLine):
@@ -210,10 +314,11 @@ class MidlineBisector(_LineLike):
 
     kind = KIND_MIDLINE
 
-    def __init__(self, origin, direction, r0, contact_fns, gen_plus, gen_minus):
+    def __init__(self, origin, direction, r0, sides, gen_plus, gen_minus):
         super().__init__(origin, direction)
         self.r0 = float(r0)
-        self._contact_fns = contact_fns
+        self.radius_sq = (0.0, self.r0 * self.r0)
+        self.sides = sides
         self.gen_plus, self.gen_minus = gen_plus, gen_minus
 
     def radius(self, t):
@@ -222,9 +327,6 @@ class MidlineBisector(_LineLike):
 
     def dradius(self, t):
         return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-
-    def contacts(self, t):
-        return self._contact_fns[0](t), self._contact_fns[1](t)
 
     def argmin_radius(self):
         return 0.5 * (self.t_lo + self.t_hi)
@@ -249,13 +351,13 @@ class ParabolaBisector(Bisector):
         h = math.hypot(offs[0], offs[1])
         if h <= EPS_GEOM:
             raise InvalidInputError("focus lies on the supporting line")
-        self.focus = focus
         self.F = foot          # directrix foot of the focus
         self.e1 = d            # along the directrix
         self.n = offs / h      # toward the focus
         self.h = h
         self.tF = tF           # segment parameter of F
         self.seg_len = float(seg_len)
+        self.sides = (_point_side(focus), (a, d))
         self.gen_plus, self.gen_minus = id_point, id_seg  # focus is left of +t
 
     # -- arc length <-> directrix coordinate -------------------------------
@@ -319,13 +421,66 @@ class ParabolaBisector(Bisector):
         z = np.asarray(xi, dtype=float) / self.h
         return 1.0 / (self.h * np.power(1.0 + z * z, 1.5))
 
-    def contacts(self, xi):
+    def _foot(self, xi, a, d):
+        """The directrix foot F + xi e1, exact: projecting point(xi) would
+        move its last bits."""
         if isinstance(xi, float):
             foot = self.F + xi * self.e1
-            return tuple(self.focus), (float(foot[0]), float(foot[1]))
-        foot = self.F + np.multiply.outer(np.asarray(xi, dtype=float),
-                                          self.e1)
-        return tuple(self.focus), foot
+            return (float(foot[0]), float(foot[1]))
+        return self.F + np.multiply.outer(xi, self.e1)
+
+    def param_near(self, loc) -> float:
+        """The xi of loc's foot on the directrix."""
+        return (loc[0] - self.F[0]) * self.e1[0] \
+            + (loc[1] - self.F[1]) * self.e1[1]
+
+    def crossing_params(self, rows):
+        pid, pcol, sid, scol = rows
+        px, py = pcol[0], pcol[1]
+        ax, ay, dx, dy, L = scol
+        npt, nsg = len(pid), len(sid)
+        F, e1, nv, h = self.F, self.e1, self.n, self.h
+        relx, rely = px - F[0], py - F[1]
+        u1 = relx * e1[0] + rely * e1[1]
+        u2 = relx * nv[0] + rely * nv[1]
+        rfx, rfy = F[0] - ax, F[1] - ay
+        cr0 = dx * rfy - dy * rfx
+        cre = dx * e1[1] - dy * e1[0]
+        crn = dx * nv[1] - dy * nv[0]
+        t0 = rfx * dx + rfy * dy
+        te = e1[0] * dx + e1[1] * dy
+        tn = nv[0] * dx + nv[1] * dy
+        # segment rows twice: the two signed-distance branches of the
+        # crossing, then the two foot-window edges
+        sig = np.concatenate([crn - 1.0, crn + 1.0])
+        t0_2, te_2, tn_2, cr0_2, cre_2, crn_2, L2, ids2 = (
+            np.concatenate([v, v])
+            for v in (t0, te, tn, cr0, cre, crn, L, sid))
+        roots = _quad_roots(
+            np.concatenate([1.0 - u2 / h, sig / (2.0 * h), tn_2 / (2.0 * h)]),
+            np.concatenate([-2.0 * u1, cre_2, te_2]),
+            np.concatenate([u1 * u1 + u2 * u2 - u2 * h,
+                            cr0_2 + sig * h / 2.0,
+                            t0_2 + tn_2 * h / 2.0
+                            - np.concatenate([np.zeros(nsg), L])]))
+        crossing, window = roots[npt:npt + 2 * nsg], roots[npt + 2 * nsg:]
+        params = [roots[:npt, 0], roots[:npt, 1]]
+        ids = [pid, pid]
+        for col in (0, 1):
+            xi = crossing[:, col]
+            eta = (xi * xi + h * h) / (2.0 * h)
+            foot = t0_2 + xi * te_2 + eta * tn_2
+            params.append(np.where((foot > 1e-12) & (foot < L2 - 1e-12),
+                                   xi, np.nan))
+            ids.append(ids2)
+        # foot-window entry/exit crossings (see _LineLike.crossing_params)
+        for col in (0, 1):
+            xi = window[:, col]
+            eta = (xi * xi + h * h) / (2.0 * h)
+            dperp = np.abs(cr0_2 + cre_2 * xi + crn_2 * eta)
+            params.append(np.where(dperp <= eta + 1e-9, xi, np.nan))
+            ids.append(ids2)
+        return np.concatenate(params), np.concatenate(ids)
 
     def rect_intervals(self, rect: Rect):
         """xi-intervals of the parabola inside rect."""
@@ -378,22 +533,6 @@ def _seg_frame(seg: BoundaryElement):
     return a, d / L, L
 
 
-def bisector_point_point(a, b, id_a=-1, id_b=-2):
-    return PointPointBisector(a, b, id_a, id_b)
-
-
-def _seg_contact_fn(a, d):
-    def fn(s_to_point):
-        def contact(s, _a=a, _d=d, _p=s_to_point):
-            q = np.asarray(_p(s), dtype=float)
-            t = (q[..., 0] - _a[0]) * _d[0] + (q[..., 1] - _a[1]) * _d[1]
-            if q.ndim == 1:
-                return (float(_a[0] + t * _d[0]), float(_a[1] + t * _d[1]))
-            return np.stack([_a[0] + t * _d[0], _a[1] + t * _d[1]], axis=-1)
-        return contact
-    return fn
-
-
 def _segment_pair_branches(u: BoundaryElement, v: BoundaryElement):
     """Both angle-bisector branches (or the midline), feet-clipped.
 
@@ -423,11 +562,8 @@ def _segment_pair_branches(u: BoundaryElement, v: BoundaryElement):
             return []
         side1 = cross(direction, a1 + dot(origin - a1, d1) * d1 - origin)
         gp, gm = (u.id, v.id) if side1 > 0 else (v.id, u.id)
-        bis = MidlineBisector(origin, direction, abs(gap) / 2.0, (None, None), gp, gm)
-        plus_seg = (a1, d1) if gp == u.id else (a2, d2)
-        minus_seg = (a2, d2) if gp == u.id else (a1, d1)
-        bis._contact_fns = (_seg_contact_fn(*plus_seg)(bis.point),
-                            _seg_contact_fn(*minus_seg)(bis.point))
+        sides = ((a1, d1), (a2, d2)) if gp == u.id else ((a2, d2), (a1, d1))
+        bis = MidlineBisector(origin, direction, abs(gap) / 2.0, sides, gp, gm)
         bis.t_lo, bis.t_hi = lo, hi
         out.append(bis)
         return out
@@ -467,11 +603,8 @@ def _segment_pair_branches(u: BoundaryElement, v: BoundaryElement):
         foot1 = a1 + dot(pref - a1, d1) * d1
         side1 = cross(w, foot1 - pref)
         gp, gm = (u.id, v.id) if side1 > 0 else (v.id, u.id)
-        bis = SegmentPairBisector(O, w, slope, (None, None), gp, gm)
-        plus_seg = (a1, d1) if gp == u.id else (a2, d2)
-        minus_seg = (a2, d2) if gp == u.id else (a1, d1)
-        bis._contact_fns = (_seg_contact_fn(*plus_seg)(bis.point),
-                            _seg_contact_fn(*minus_seg)(bis.point))
+        sides = ((a1, d1), (a2, d2)) if gp == u.id else ((a2, d2), (a1, d1))
+        bis = SegmentPairBisector(O, w, slope, sides, gp, gm)
         bis.branch = branch
         bis.t_lo, bis.t_hi = dom_lo, dom_hi
         out.append(bis)
@@ -494,22 +627,21 @@ def bisector_point_segment(p: BoundaryElement, seg: BoundaryElement):
 
 
 def bisector_endpoint_own_segment(p: BoundaryElement, seg: BoundaryElement):
-    px, py = p.geometry
-    a, d, L = _seg_frame(seg)
-    t = dot(np.array([px, py]) - a, d)
-    on_start = abs(t) <= 1e-6 and math.hypot(px - a[0], py - a[1]) <= 1e-6
-    on_end = abs(t - L) <= 1e-6
-    if not (on_start or on_end):
+    """The perpendicular to seg through its endpoint p.  Adjacency says p
+    ends seg, as it does in the candidate pass: an exact test of the
+    geometry rounds at about |p| 1e-16."""
+    if seg.id not in p.adjacency:
         raise InvalidInputError("point is not an endpoint of the segment")
-    origin = np.array([px, py])
+    a, d, L = _seg_frame(seg)
+    origin = np.asarray(p.geometry, dtype=float)
     direction = _lex_positive(perp(d).copy())
     # side of the segment body relative to the +t tangent
     mid = a + 0.5 * L * d
     side = cross(direction, mid - origin)
     gp, gm = (seg.id, p.id) if side > 0 else (p.id, seg.id)
-    pt = (float(px), float(py))
-    return PerpendicularBisector(origin, direction, 1.0,
-                                 (lambda t: pt, lambda t: pt), gp, gm)
+    touch = _point_side(p.geometry)
+    return PerpendicularBisector(origin, direction, 1.0, (touch, touch),
+                                 gp, gm)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +667,7 @@ def make_bisectors(e1: BoundaryElement, e2: BoundaryElement, clip: Rect | None =
         records.extend(_segment_pair_branches(e1, e2))
     else:
         p, seg = (e1, e2) if e1.kind == POINT else (e2, e1)
-        if seg.id in p.adjacency and _is_endpoint(p, seg):
+        if seg.id in p.adjacency:
             records.append(bisector_endpoint_own_segment(p, seg))
         else:
             try:
@@ -553,10 +685,3 @@ def make_bisectors(e1: BoundaryElement, e2: BoundaryElement, clip: Rect | None =
             if b - a > EPS_GEOM:
                 clipped.append(bis.with_domain(a, b))
     return clipped
-
-
-def _is_endpoint(p: BoundaryElement, seg: BoundaryElement):
-    (ax, ay), (bx, by) = seg.geometry
-    px, py = p.geometry
-    return (math.hypot(px - ax, py - ay) <= 1e-6
-            or math.hypot(px - bx, py - by) <= 1e-6)

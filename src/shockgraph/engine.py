@@ -17,12 +17,15 @@ Termination search is closed form: along every bisector kind the squared
 deficit dist(p, e)^2 - r^2 to a third element e is a quadratic in the
 bisector's natural parameter t (arc length for the straight kinds, the
 directrix coordinate xi for parabolas), so each element's first simultaneous
-arrival is a quadratic root (see _crossing_params).  A branch of generators
-g1, g2 solves these quadratics against the elements that share a ball with
-both (ElementSet.crossing_rows), which hold every element that can end a
-link of the branch, touch its start or meet its end.  The roots are solved
-once per bisector branch and cached, trimmed to the hull of the branch's
-piece domains, outside which propagation reads none.  The engine works in t
+arrival is a quadratic root.  The engine never looks at a bisector's kind:
+the quadratics are Bisector.crossing_params, and the parameter nearest a
+junction is Bisector.param_near, both in bisectors.py with every other
+per-kind formula.  A branch of generators g1, g2 solves these quadratics
+against the elements that share a ball with both
+(ElementSet.crossing_rows), which hold every element that can end a link of
+the branch, touch its start or meet its end.  The roots are solved once per
+bisector branch and cached, trimmed to the hull of the branch's piece
+domains, outside which propagation reads none.  The engine works in t
 throughout, and raw links record t.
 
 A validity sweep of exact distances at interior samples of every traced
@@ -46,9 +49,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.sparse import csr_matrix
 
-from .bisectors import (Bisector, MidlineBisector, ParabolaBisector,
-                        PointPointBisector, _LineLike, _segment_pair_branches,
-                        make_bisectors)
+from .bisectors import Bisector, make_bisectors
 from .contours import POINT, SEGMENT, BoundaryElement, check_no_crossings
 from .errors import InvalidInputError, NonterminationError
 from .geometry import EPS_GEOM, EPS_MERGE, EPS_REL, Rect
@@ -484,9 +485,9 @@ def _segment_segment_candidates(segs, A, Du, L, sids, iu, ju):
     denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     par = np.abs(denom) < 1e-7
     # parallel pairs are few; their midline candidates go through the
-    # object constructor
+    # object constructor (ids ascend, so the records keep their order)
     for i, j in zip(iu[par], ju[par]):
-        for rec in _segment_pair_branches(segs[i], segs[j]):
+        for rec in make_bisectors(segs[i], segs[j]):
             s_star = rec.argmin_radius()
             loc = rec.point(s_star)
             yield _candidate_part(float(rec.radius(s_star)), loc[0], loc[1],
@@ -625,36 +626,6 @@ class ActiveShock:
     start_param: float  # natural parameter t of the bisector
     direction: float
     parent_node: int
-    start_time: float
-
-
-# ---------------------------------------------------------------------------
-# Analytic first-crossing of third-element wavefronts
-#
-# Along every bisector kind, the squared deficit dist(p, e)^2 - r^2 is a
-# quadratic in the bisector's natural parameter (arc length s for lines, the
-# directrix coordinate xi for parabolas), so the first simultaneous arrival of
-# a third wave is a closed-form root.
-# ---------------------------------------------------------------------------
-
-def _quad_roots(A, B, C):
-    """Real roots of A t^2 + B t + C = 0, vectorized; NaN where absent.
-
-    Returns an (m, 2) array. Linear rows (A ~ 0) put their root in column 0.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = B * B - 4.0 * A * C
-        rt = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-        # numerically stable split: bq carries the large root's numerator
-        bq = -0.5 * (B + np.copysign(rt, B))
-        lin = np.abs(A) < 1e-14
-        r1 = np.where(lin, -C / B, bq / A)
-        r2 = np.where(lin, np.nan, C / bq)
-        # non-finite roots (0/0, x/0) are "absent"; callers filter on isfinite
-        out = np.empty(r1.shape + (2,))
-        out[..., 0] = np.where(np.isfinite(r1), r1, np.nan)
-        out[..., 1] = np.where(np.isfinite(r2), r2, np.nan)
-    return out
 
 
 _SWEEP_FRAC = np.linspace(0.0, 1.0, 34)[1:-1]
@@ -723,9 +694,7 @@ class Engine:
 
     # -- claimed intervals -------------------------------------------------
     def _claim(self, key, lo, hi):
-        ivs = self._claimed.setdefault(key, [])
-        ivs.append((min(lo, hi), max(lo, hi)))
-        ivs.sort()
+        self._claimed.setdefault(key, []).append((min(lo, hi), max(lo, hi)))
 
     def _claimed_at(self, key, s, tol=1e-9):
         for lo, hi in self._claimed.get(key, ()):
@@ -769,7 +738,7 @@ class Engine:
             return
         heapq.heappush(self._active,
                        (t0, next(self._seq),
-                        ActiveShock(rec, s0, direction, node_id, t0)))
+                        ActiveShock(rec, s0, direction, node_id)))
 
     def _discover_outflows(self, node_id, gens, fresh, loc, radius):
         """Spawn outflows of node node_id from loc, where the front has the
@@ -780,10 +749,7 @@ class Engine:
                  if a in fresh or b in fresh]
         for a, b in pairs:
             for rec in self._bisectors(a, b):
-                s_n = _param_near(rec, loc)
-                if s_n is None:
-                    continue
-                s_n = min(max(s_n, rec.t_lo), rec.t_hi)
+                s_n = min(max(rec.param_near(loc), rec.t_lo), rec.t_hi)
                 p = rec.point(s_n)
                 if math.hypot(p[0] - loc[0], p[1] - loc[1]) > 1e-6 * scale:
                     continue
@@ -803,107 +769,6 @@ class Engine:
                     self._spawn(rec, s_n, direction, node_id, radius)
 
     # -- analytic crossings --------------------------------------------------
-    def _crossing_params(self, rec: Bisector, rows):
-        """All (natural-parameter, element-id) wavefront crossings of rec
-        with the elements of rows (ElementSet.crossing_rows layout).
-
-        Returns (params, ids) arrays in the bisector's natural parameter
-        (arc length for line-likes, directrix coordinate xi for parabolas),
-        with open-segment foot windows already enforced; absent roots are
-        NaN. Every quadratic of one bisector goes through one _quad_roots
-        call.
-        """
-        pid, pcol, sid, scol = rows
-        px, py = pcol[0], pcol[1]
-        ax, ay, dx, dy, L = scol
-        npt, nsg = len(pid), len(sid)
-        if isinstance(rec, _LineLike):
-            o, w = rec.origin, rec.direction
-            if isinstance(rec, PointPointBisector):
-                alpha, gamma = 1.0, rec.half * rec.half
-            elif isinstance(rec, MidlineBisector):
-                alpha, gamma = 0.0, rec.r0 * rec.r0
-            else:
-                alpha, gamma = rec.slope * rec.slope, 0.0
-            relx, rely = px - o[0], py - o[1]
-            c0 = dx * (o[1] - ay) - dy * (o[0] - ax)
-            c1 = dx * w[1] - dy * w[0]
-            roots = _quad_roots(
-                np.concatenate([np.full(npt, 1.0 - alpha), c1 * c1 - alpha]),
-                np.concatenate([-2.0 * (relx * w[0] + rely * w[1]),
-                                2.0 * c0 * c1]),
-                np.concatenate([relx ** 2 + rely ** 2 - gamma,
-                                c0 * c0 - gamma]))
-            params = [roots[:npt, 0], roots[:npt, 1]]
-            ids = [pid, pid]
-            t0 = (o[0] - ax) * dx + (o[1] - ay) * dy
-            tg = w[0] * dx + w[1] * dy
-            for col in (0, 1):
-                rr = roots[npt:, col]
-                foot = t0 + rr * tg
-                params.append(np.where((foot > 1e-12) & (foot < L - 1e-12),
-                                       rr, np.nan))
-                ids.append(sid)
-            # foot-window entry/exit: the open distance jumps there, so it
-            # counts as a crossing whenever the perpendicular distance is
-            # already within the front radius
-            tgs = np.where(np.abs(tg) < 1e-14, np.nan, tg)
-            for lim in (0.0, L):
-                rr = (lim - t0) / tgs
-                dperp = np.abs(c0 + c1 * rr)
-                rad = np.sqrt(np.maximum(alpha * rr * rr + gamma, 0.0))
-                params.append(np.where(dperp <= rad + 1e-9, rr, np.nan))
-                ids.append(sid)
-        elif isinstance(rec, ParabolaBisector):
-            F, e1, nv, h = rec.F, rec.e1, rec.n, rec.h
-            relx, rely = px - F[0], py - F[1]
-            u1 = relx * e1[0] + rely * e1[1]
-            u2 = relx * nv[0] + rely * nv[1]
-            rfx, rfy = F[0] - ax, F[1] - ay
-            cr0 = dx * rfy - dy * rfx
-            cre = dx * e1[1] - dy * e1[0]
-            crn = dx * nv[1] - dy * nv[0]
-            t0 = rfx * dx + rfy * dy
-            te = e1[0] * dx + e1[1] * dy
-            tn = nv[0] * dx + nv[1] * dy
-            # segment rows twice: the two signed-distance branches of the
-            # crossing, then the two foot-window edges
-            sig = np.concatenate([crn - 1.0, crn + 1.0])
-            t0_2 = np.concatenate([t0, t0])
-            te_2, tn_2 = np.concatenate([te, te]), np.concatenate([tn, tn])
-            cr0_2 = np.concatenate([cr0, cr0])
-            cre_2 = np.concatenate([cre, cre])
-            crn_2 = np.concatenate([crn, crn])
-            L2 = np.concatenate([L, L])
-            ids2 = np.concatenate([sid, sid])
-            roots = _quad_roots(
-                np.concatenate([1.0 - u2 / h, sig / (2.0 * h), tn_2 / (2.0 * h)]),
-                np.concatenate([-2.0 * u1, cre_2, te_2]),
-                np.concatenate([u1 * u1 + u2 * u2 - u2 * h,
-                                cr0_2 + sig * h / 2.0,
-                                t0_2 + tn_2 * h / 2.0
-                                - np.concatenate([np.zeros(nsg), L])]))
-            cross, window = roots[npt:npt + 2 * nsg], roots[npt + 2 * nsg:]
-            params = [roots[:npt, 0], roots[:npt, 1]]
-            ids = [pid, pid]
-            for col in (0, 1):
-                xi = cross[:, col]
-                eta = (xi * xi + h * h) / (2.0 * h)
-                foot = t0_2 + xi * te_2 + eta * tn_2
-                params.append(np.where((foot > 1e-12) & (foot < L2 - 1e-12),
-                                       xi, np.nan))
-                ids.append(ids2)
-            # foot-window entry/exit crossings (see the line-like case)
-            for col in (0, 1):
-                xi = window[:, col]
-                eta = (xi * xi + h * h) / (2.0 * h)
-                dperp = np.abs(cr0_2 + cre_2 * xi + crn_2 * eta)
-                params.append(np.where(dperp <= eta + 1e-9, xi, np.nan))
-                ids.append(ids2)
-        else:
-            return np.empty(0), np.empty(0, dtype=int)
-        return np.concatenate(params), np.concatenate(ids)
-
     def _crossings(self, rec: Bisector):
         """Crossings of rec that propagation can read, sorted by parameter,
         as (params, ids) arrays.  The root set depends only on the branch's
@@ -926,7 +791,7 @@ class Engine:
             hi = max(b.t_hi for b in pieces)
             rows = self.eset.crossing_rows(*rec.pair)
             self.stats["crossing_rows"] += len(rows[0]) + len(rows[2])
-            params, ids = self._crossing_params(rec, rows)
+            params, ids = rec.crossing_params(rows)
             keep = (params >= lo) & (params <= hi)  # absent (NaN) roots fail
             params, ids = params[keep], ids[keep].astype(np.int32)
             order = np.argsort(params, kind="stable")
@@ -1153,17 +1018,6 @@ class Engine:
             self.stats["realized"] += 1
             for direction in (1.0, -1.0):
                 self._spawn(rec, s_star, direction, node_id, t_star)
-
-
-def _param_near(rec: Bisector, loc):
-    """Natural parameter of the point on rec nearest to loc (closed form per
-    kind; for a parabola, the xi of loc's foot on the directrix)."""
-    if isinstance(rec, _LineLike):
-        v = (loc[0] - rec.origin[0], loc[1] - rec.origin[1])
-        return v[0] * rec.direction[0] + v[1] * rec.direction[1]
-    if isinstance(rec, ParabolaBisector):
-        return (loc[0] - rec.F[0]) * rec.e1[0] + (loc[1] - rec.F[1]) * rec.e1[1]
-    return None
 
 
 def run(elements: list[BoundaryElement], box: Rect,

@@ -17,6 +17,11 @@ EPS_MERGE = 1e-6
 EPS_REL = 1e-6
 # Supporting lines closer than this angle (radians) are treated as parallel.
 PARALLEL_EPS = 1e-7
+# Largest coordinate magnitude of the bounding box (pixels).  Link areas
+# take cubes of bisector parameters, and a parameter inside a box of this
+# size is at most its diagonal, 2 sqrt(2) COORD_LIMIT; the cube of that,
+# about 2.3e301, stays below the largest double (1.8e308).
+COORD_LIMIT = 1e100
 
 
 def perp(v):

@@ -82,14 +82,10 @@ class Piece:
             return b.gen_plus, b.gen_minus
         return b.gen_minus, b.gen_plus
 
-    def contacts_at(self, t: float) -> tuple[tuple, tuple]:
-        """(bp_plus, bp_minus) relative to the flow direction."""
-        cp, cm = self.bisector.contacts(float(t))
-        return (cp, cm) if self.direction > 0 else (cm, cp)
-
-    def contacts_array(self, ts: np.ndarray):
-        """contacts_at over a parameter vector: two (n, 2) arrays."""
-        cp, cm = self.bisector.contacts_array(ts)
+    def contacts(self, t):
+        """(bp_plus, bp_minus) at a scalar or array t (see
+        Bisector.contacts), sides relative to the flow direction."""
+        cp, cm = self.bisector.contacts(t)
         return (cp, cm) if self.direction > 0 else (cm, cp)
 
 
@@ -118,7 +114,7 @@ class LinkEnd(NamedTuple):
 
     def contacts(self) -> tuple:
         """(bp_plus, bp_minus) at the node, sides relative to the flow."""
-        return self.piece.contacts_at(self.t)
+        return self.piece.contacts(self.t)
 
 
 @dataclass
@@ -230,7 +226,7 @@ class ShockLink:
     def sample_contacts(self, n: int):
         """(bp_plus, bp_minus) arrays of shape (n, 2), flow-oriented sides."""
         out = self._sampled(
-            n, lambda p, ts: np.stack(p.contacts_array(ts), axis=1), (2, 2))
+            n, lambda p, ts: np.stack(p.contacts(ts), axis=1), (2, 2))
         return out[:, 0], out[:, 1]
 
     @property
@@ -374,7 +370,7 @@ def _piece_side_area(piece: Piece, side: int) -> float:
         return 0.5 * integral if (side == 0) == focus_on_plus else integral
     ts = np.array([piece.t0, piece.t1])
     (p0x, p0y), (p1x, p1y) = bis.point(ts)
-    (c0x, c0y), (c1x, c1y) = piece.contacts_array(ts)[side]
+    (c0x, c0y), (c1x, c1y) = piece.contacts(ts)[side]
     return 0.5 * abs((c1x - p0x) * (c0y - p1y) - (c1y - p0y) * (c0x - p1x))
 
 
@@ -397,8 +393,8 @@ def _boundary_refs(link: ShockLink) -> tuple[BoundaryRef, BoundaryRef]:
             gid = p.side_generators()[side]
             if gid not in gens:
                 gens.append(gid)
-            c0 = p.contacts_at(p.t0)[side]
-            c1 = p.contacts_at(p.t1)[side]
+            c0 = p.contacts(p.t0)[side]
+            c1 = p.contacts(p.t1)[side]
             arclen += math.hypot(c1[0] - c0[0], c1[1] - c0[1])
         refs.append(BoundaryRef(tuple(gens), arclen, 0.0))
     return refs[0], refs[1]

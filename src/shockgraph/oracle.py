@@ -159,7 +159,7 @@ def graph_shock_points(graph, step: float,
                 if b in adj[a]:
                     if elements[a].kind == POINT or elements[b].kind == POINT:
                         continue
-                    cp, cm = p.contacts_at(0.5 * (p.t0 + p.t1))
+                    cp, cm = p.contacts(0.5 * (p.t0 + p.t1))
                     if np.hypot(cp[0] - cm[0], cp[1] - cm[1]) <= 1e-9:
                         continue
             n = max(2, int(np.ceil(p.length / step)) + 1)
@@ -171,7 +171,7 @@ def graph_shock_points(graph, step: float,
                 # separation it thresholds); drop samples below that, e.g.
                 # along the bisector of a sub-cell-width wedge or the corner
                 # bisector of two nearly collinear segments
-                cp, cm = p.contacts_array(ts)
+                cp, cm = p.contacts(ts)
                 sep = np.hypot(cp[..., 0] - cm[..., 0],
                                cp[..., 1] - cm[..., 1])
                 pts = pts[sep > 2.0 * step]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .contours import ContourFragment
 from .errors import InvalidInputError
-from .geometry import Rect
+from .geometry import COORD_LIMIT, Rect
 from .graph import ShockGraph, ShockLink, ShockNode, assemble
 
 _CORNER_RADIUS_EPS = 1e-7   # leaf radii below this count as boundary-rooted
@@ -34,12 +34,18 @@ def augment_with_box(fragments: list[ContourFragment],
     """Append a closed rectangular fragment of dimensions scale*(width,
     height) centered on the image. Returns (fragments + [box], box_rect,
     box_fragment_id); box_rect is also the propagation clip window, so every
-    shock path terminates on it."""
+    shock path terminates on it.  A box with a coordinate beyond
+    COORD_LIMIT is an input error."""
     if not scale > 1.0:
         raise InvalidInputError("bounding-box scale must exceed 1")
     cx, cy = 0.5 * width, 0.5 * height
     hw, hh = 0.5 * scale * width, 0.5 * scale * height
     rect = Rect(cx - hw, cy - hh, cx + hw, cy + hh)
+    big = max(abs(v) for v in (rect.xmin, rect.ymin, rect.xmax, rect.ymax))
+    if not big <= COORD_LIMIT:
+        raise InvalidInputError(
+            f"bounding box coordinate {big:g} is too large: the limit is "
+            f"{COORD_LIMIT:g}")
     for f in fragments:
         v = f.vertices
         if (v[:, 0].min() <= rect.xmin or v[:, 0].max() >= rect.xmax

@@ -15,9 +15,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from shockgraph import engine, oracle
-from shockgraph.bisectors import (bisector_endpoint_own_segment,
-                                  bisector_point_point, bisector_point_segment,
-                                  make_bisectors)
+from shockgraph.bisectors import (PointPointBisector,
+                                  bisector_endpoint_own_segment,
+                                  bisector_point_segment, make_bisectors)
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
                                  decompose, resample_polyline)
 from shockgraph.corpus import verify_corpus
@@ -77,7 +77,7 @@ def test_bisector_equidistance_point_point():
         b = (rng.uniform(0, 100), rng.uniform(0, 100))
         if math.hypot(a[0] - b[0], a[1] - b[1]) < 1e-3:
             b = (a[0] + 1.0, a[1])
-        bis = bisector_point_point(a, b)
+        bis = PointPointBisector(a, b)
         ss = np.array([rng.uniform(-50, 50) for _ in range(N_SAMPLES)])
         pts = bis.point(ss)
         _check_pair(np.hypot(pts[:, 0] - a[0], pts[:, 1] - a[1]),

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from shockgraph.bisectors import (KIND_LINE, KIND_MIDLINE, KIND_PARABOLA,
                                   KIND_PERPENDICULAR, LinearRadiusLine,
+                                  PointPointBisector,
                                   bisector_endpoint_own_segment,
-                                  bisector_point_point, bisector_point_segment,
-                                  make_bisectors)
+                                  bisector_point_segment, make_bisectors)
 from shockgraph.contours import POINT, SEGMENT, BoundaryElement
 from shockgraph.errors import DegenerateInputError, InvalidInputError
 from shockgraph.geometry import Rect, cross
@@ -29,17 +29,17 @@ def pt(eid, p, adjacency=()):
 
 class TestPointPoint:
     def test_midpoint_and_radius(self):
-        bis = bisector_point_point((0, 0), (4, 0))
+        bis = PointPointBisector((0, 0), (4, 0))
         assert np.allclose(bis.point(0.0), (2, 0))
         assert bis.radius(0.0) == 2.0
         assert np.isclose(bis.radius(3.0), math.hypot(2.0, 3.0))
 
     def test_coincident_rejected(self):
         with pytest.raises(DegenerateInputError):
-            bisector_point_point((1, 1), (1, 1))
+            PointPointBisector((1, 1), (1, 1))
 
     def test_generator_sides(self):
-        bis = bisector_point_point((0, 0), (4, 0), 7, 9)
+        bis = PointPointBisector((0, 0), (4, 0), 7, 9)
         s = 1.0
         p = bis.point(s)
         t = np.asarray(bis.point(s + 1e-6)) - p
@@ -146,7 +146,7 @@ class TestContactsArray:
             lo = max(bis.t_lo, -5.0)
             hi = min(bis.t_hi, 5.0)
             ss = np.linspace(lo + 1e-6, hi - 1e-6, 9)
-            cp, cm = bis.contacts_array(ss)
+            cp, cm = bis.contacts(ss)
             for k, s in enumerate(ss):
                 scp, scm = bis.contacts(float(s))
                 assert np.allclose(cp[k], scp, atol=1e-9)
@@ -221,6 +221,26 @@ def test_parameter_properties(kinds, data):
     q = bis.point(t)
     for e in (e1, e2):
         assert math.isclose(_closed_dist(e, q), r, rel_tol=1e-9, abs_tol=1e-9)
+    # the contacts of a scalar t are row 0 of those of [t]; each lies on its
+    # generator, at distance r from the point
+    contacts = bis.contacts(float(t))
+    rows = bis.contacts(np.array([t]))
+    for c, row, gid in zip(contacts, rows, (bis.gen_plus, bis.gen_minus)):
+        assert c == tuple(row[0].tolist())
+        assert _closed_dist((e1, e2)[gid], c) <= 1e-9 * (1 + r)
+        assert abs(math.hypot(c[0] - q[0], c[1] - q[1]) - r) <= 1e-9 * (1 + r)
+    # every root of crossing_params with a drawn third point inside the
+    # domain is a point where that point's wavefront arrives too
+    p3 = np.array(data.draw(coords), dtype=float)
+    params, ids = bis.crossing_params(
+        (np.array([2]), np.concatenate([p3, np.zeros(3)])[:, None],
+         np.empty(0, dtype=int), np.empty((5, 0))))
+    assert ids.tolist() == [2] * len(params)
+    for root in params[np.isfinite(params)]:
+        if bis.t_lo <= root <= bis.t_hi and abs(root) < 1e6:
+            pr, rr = bis.point(float(root)), float(bis.radius(float(root)))
+            dist = math.hypot(pr[0] - p3[0], pr[1] - p3[1])
+            assert abs(dist - rr) <= 1e-6 * (1 + rr)
     # dr/ds by a central difference in arc length; r is |t|-shaped at the
     # apex of a linear-radius line, so stay off the corner there
     h = 1e-5 * (1.0 + abs(s))

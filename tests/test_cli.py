@@ -10,9 +10,12 @@ from shockgraph.contours import (ContourFragment, decompose,
                                  format_scene_text, simplify_polyline)
 from shockgraph.errors import DegenerateInputError
 from shockgraph.export import to_graphml, to_sgtext
+from shockgraph.geometry import COORD_LIMIT
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box, prune
-from shockgraph.scenes import random_scene
+from shockgraph.scenes import LCG, random_scene
+
+from perfbench.workloads import MASK_SHAPES, encode_p1
 
 RECTANGLE = str(resources.files("shockgraph.corpus") / "rectangle.scene")
 
@@ -73,8 +76,9 @@ def test_vertices_across_a_key_cell_boundary_are_one_element(tmp_path,
 
 
 def test_huge_scene_is_a_parse_error(tmp_path, capsys):
-    """A scene so large that a box corner over EPS_GEOM overflows
-    decompose's vertex key is a parse error, and nothing is written."""
+    """A scene so large that a box corner over EPS_GEOM would overflow
+    decompose's vertex key is a parse error, and nothing is written: its
+    box is beyond the coordinate limit."""
     scene = tmp_path / "huge.scene"
     scene.write_text("scene 1e300 1e300\n"
                      "fragment 0 closed\nv 10 10\nv 20 10\nv 15 18\n")
@@ -82,6 +86,24 @@ def test_huge_scene_is_a_parse_error(tmp_path, capsys):
     assert cli.main([str(scene), "-o", str(out)]) == cli.EXIT_PARSE
     report = capsys.readouterr().out
     assert "status=error" in report and "too large" in report
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("size", ["1e120", "1e200"])
+def test_box_beyond_the_coordinate_limit_is_a_parse_error(tmp_path, capsys,
+                                                          size):
+    """A bounding box with a coordinate beyond COORD_LIMIT is a parse
+    error, and nothing is written.  Without the limit a 1e120 scene
+    overflowed a link area (an OverflowError and exit 1), and a 1e200 scene
+    failed only on an oversized numpy request."""
+    scene = tmp_path / "huge.scene"
+    scene.write_text(f"scene {size} {size}\n"
+                     "fragment 0 closed\nv 10 10\nv 20 10\nv 15 18\n")
+    out = tmp_path / "out"
+    assert cli.main([str(scene), "-o", str(out)]) == cli.EXIT_PARSE
+    report = capsys.readouterr().out
+    assert "status=error" in report
+    assert f"is too large: the limit is {COORD_LIMIT:g}" in report
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -151,4 +173,44 @@ def test_random_scene_sgtext_is_pinned(tmp_path, n_frag, seed, digest):
     cli.run_scene(cli.RunConfig(inputs=[], output_dir=str(tmp_path),
                                 polyline_epsilon=0.0), str(scene))
     data = (tmp_path / "scene.sg").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("disc", None), ("ring", None),
+    ("ellipse", "3cecc4a1c595e69c9c5f9cff30a7097b01a4e54c"
+     "bb228128416622e385ee7372"),
+    ("pentagon", "58d23c4ee96ead31bbddfdb874afbd06a1d22129"
+     "f6400b4d25ef40fe87d4326c"),
+    ("hexagon", "d55ec2c767c9dd936ab5b8006b953faa60e3a49a"
+     "7ec3e40e87321fd57a3475d9"),
+    ("octagon", None),
+    ("union3", "f24cc1ccca2a66f4ba9af8664519e4c5f87b46fe"
+     "100e6375ef7d28a4b8c78c2b"),
+    ("union4", "5034474d4695a479e8277146f995a30389a87173"
+     "9fca13939ee782c48d951082"),
+    ("union5", "760aa4a3183f1ba75c073cc504b6ccfbeb5f0ed6"
+     "a7f5b314185288e760c08277"),
+    ("union6", "555ca439c9747fb1aa83597faba461e6fc958003"
+     "6357d61b9a801defc2056680"),
+    ("blob", None)])
+def test_traced_mask_sgtext_is_pinned(tmp_path, capsys, name, digest):
+    """Each mask of the masks benchmark workload at seed 1, written as P1
+    and run by the CLI at its defaults, gives sgtext with a pinned sha256.
+    The disc, ring, octagon and blob keep a junction of degree above 4 after
+    pruning, which the node descriptor cannot hold: they exit 5 and write
+    nothing."""
+    rng = LCG(1)
+    mask = dict((n, build(rng)) for n, build in MASK_SHAPES)[name]
+    scene = tmp_path / f"{name}.pbm"
+    scene.write_bytes(encode_p1(mask))
+    out = tmp_path / "out"
+    code = cli.main([str(scene), "-o", str(out)])
+    capsys.readouterr()
+    if digest is None:
+        assert code == cli.EXIT_INTERNAL
+        assert not out.exists() or not list(out.iterdir())
+        return
+    assert code == cli.EXIT_OK
+    data = (out / f"{name}.sg").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest

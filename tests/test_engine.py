@@ -285,8 +285,8 @@ def test_root_cache_keeps_the_branch_hull():
         assert pieces[0].branch_key == pieces[1].branch_key
         lo, hi = pieces[0].t_lo, pieces[1].t_hi
         assert pieces[0].t_hi < pieces[1].t_lo
-        params, ids = eng._crossing_params(
-            pieces[first], eng.eset.crossing_rows(*pieces[first].pair))
+        params, ids = pieces[first].crossing_params(
+            eng.eset.crossing_rows(*pieces[first].pair))
         finite = np.isfinite(params)
         order = np.argsort(params[finite], kind="stable")
         full, full_ids = params[finite][order], ids[finite][order]
@@ -393,7 +393,7 @@ def _assert_matches_reference(elements, rect, monkeypatch):
                     id=f"random6-{s}-{name}")
        for s in range(5)
        for name, m in (("shift1e5", (1.0, 1e5)), ("scale1e-3", (1e-3, 0.0)),
-                       ("scale1e3", (1e3, 0.0)))]
+                       ("scale1e3", (1e3, 0.0)), ("scale1e10", (1e10, 0.0)))]
     + [pytest.param(lambda: _bare_points([(-1.0, 0.0), (1.0, 0.0)]),
                     id="two-points"),
        pytest.param(lambda: _bare_points([(0.0, 0.0), (4.0, 0.0),
@@ -477,7 +477,7 @@ def test_pair_table_holds_under_a_third_of_the_pairs():
     assert eng.stats["candidates"] < 2 * n_pairs
 
 
-_FILTER_SCENES = (
+_REFERENCE_SCENES = (
     [pytest.param(lambda n=n: _corpus_scene(n), id=f"corpus-{n}")
      for n in ("pair", "rectangle", "square", "triple")]
     + [pytest.param(lambda s=s: _boxed(random_scene(6, s)[0], 100, 100),
@@ -495,7 +495,7 @@ _FILTER_SCENES = (
                     id=f"mask-{n}") for n, _ in MASK_SHAPES])
 
 
-@pytest.mark.parametrize("scene", _FILTER_SCENES)
+@pytest.mark.parametrize("scene", _REFERENCE_SCENES)
 def test_neighbour_filter_matches_all_elements(scene, monkeypatch):
     """Candidates from the pairs that share a ball, validated against a
     ball, and crossings solved against the elements that share a ball with
@@ -508,10 +508,9 @@ def test_neighbour_filter_matches_all_elements(scene, monkeypatch):
 
 def test_touching_elements_outside_the_neighbour_rows(monkeypatch):
     """In the unsimplified trace of the ellipse mask, pixel-grid samples on
-    one empty circle put elements that touch a propagation start outside
-    the Delaunay neighbours of its generators' samples.  The elements that
-    share a ball with both generators hold them: each link starts as in the
-    reference."""
+    one empty circle give propagation starts that further elements touch.
+    The elements that share a ball with both generators hold them: each
+    link starts as in the reference."""
     elements, rect = _mask_scene(_masks_workload_mask("ellipse"), 0.0)
     raw = _assert_matches_reference(elements, rect, monkeypatch)
     assert raw.stats["sweep_truncations"] == 0
@@ -521,9 +520,8 @@ def test_touching_elements_outside_the_neighbour_rows(monkeypatch):
 def test_missed_crossings_resolve_the_branch(seed, monkeypatch):
     """In these unsimplified union3 traces a crossing lies past the last
     sweep sample (seed 15), or one rounding step ahead at a co-circular
-    junction (seed 23), and its element is no Delaunay neighbour of the
-    generators' samples.  The crossing rows hold it, so each branch ends
-    where the reference ends it."""
+    junction (seed 23).  The crossing rows hold its element, so each branch
+    ends where the reference ends it."""
     elements, rect = _mask_scene(_masks_workload_mask("union3", seed), 0.0)
     raw = _assert_matches_reference(elements, rect, monkeypatch)
     assert raw.stats["sweep_truncations"] == 0
@@ -616,13 +614,13 @@ def test_sweep_bisection_truncates_missed_crossings(monkeypatch):
     and the graph built from it is valid."""
     elements, rect = _boxed(random_scene(6, 3)[0], 100, 100)
     intact = engine.run(elements, rect)
-    solve = engine.Engine._crossing_params
+    solve = engine.Engine._crossings
 
-    def drop_element_10(self, rec, *rows):
-        params, ids = solve(self, rec, *rows)
-        return np.where(ids == 10, np.nan, params), ids
+    def drop_element_10(self, rec):
+        params, ids = solve(self, rec)
+        return params[ids != 10], ids[ids != 10]
 
-    monkeypatch.setattr(engine.Engine, "_crossing_params", drop_element_10)
+    monkeypatch.setattr(engine.Engine, "_crossings", drop_element_10)
     raw = engine.run(elements, rect)
     assert intact.stats["sweep_truncations"] == 0
     assert raw.stats["sweep_truncations"] == 2
@@ -635,10 +633,9 @@ def test_sweep_bisection_truncates_missed_crossings(monkeypatch):
     build_graph(raw, elements).validate()
 
 
-def test_large_mask_takes_the_filtered_path(monkeypatch):
+def test_large_mask_matches_the_reference(monkeypatch):
     """A traced ring mask at twice the benchmark's size, 312 elements,
-    takes the one table path that serves every scene size, and gives the
-    reference's raw graph."""
+    gives the reference's raw graph."""
     ring = dict(MASK_SHAPES)["ring"]
     elements, rect = _mask_scene(ring(LCG(1), 128, 56.0, 40.0))
     assert len(elements) == 312
@@ -646,7 +643,7 @@ def test_large_mask_takes_the_filtered_path(monkeypatch):
     assert raw.stats["sweep_truncations"] == 0
 
 
-def test_neighbour_table_reaches_coplanar_samples():
+def test_balls_hold_adjacent_elements():
     """Adjacent elements have coinciding samples (a vertex and its
     segments' end samples).  In random_scene(200, 7) every element shares a
     ball with itself and with each element adjacent to it, and the relation
