@@ -341,7 +341,7 @@ class ParabolaBisector(Bisector):
 
     kind = KIND_PARABOLA
 
-    def __init__(self, focus, seg_a, seg_d, seg_len, id_point, id_seg):
+    def __init__(self, focus, seg_a, seg_d, id_point, id_seg):
         focus = np.asarray(focus, dtype=float)
         a = np.asarray(seg_a, dtype=float)
         d = np.asarray(seg_d, dtype=float)
@@ -356,7 +356,6 @@ class ParabolaBisector(Bisector):
         self.n = offs / h      # toward the focus
         self.h = h
         self.tF = tF           # segment parameter of F
-        self.seg_len = float(seg_len)
         self.sides = (_point_side(focus), (a, d))
         self.gen_plus, self.gen_minus = id_point, id_seg  # focus is left of +t
 
@@ -621,7 +620,7 @@ def bisector_point_segment(p: BoundaryElement, seg: BoundaryElement):
         if EPS_GEOM < tq < L - EPS_GEOM:
             raise InvalidInputError("point lies on the segment interior (contour self-contact)")
         raise InvalidInputError("point collinear with the supporting line")
-    bis = ParabolaBisector((px, py), a, d, L, p.id, seg.id)
+    bis = ParabolaBisector((px, py), a, d, p.id, seg.id)
     bis.t_lo, bis.t_hi = -bis.tF, L - bis.tF
     return bis
 

@@ -24,7 +24,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,6 +290,9 @@ def main(argv=None) -> int:
 
     jobs = [(config, p) for p in config.inputs]
     if config.jobs > 1 and len(jobs) > 1:
+        # imported here: multiprocessing is slow to import, and a serial
+        # run does not need it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.jobs) as ex:
             results = list(ex.map(_run_one, jobs))
     else:

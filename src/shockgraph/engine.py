@@ -44,10 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# scipy.spatial imports scipy.sparse itself; importing scipy.sparse first
-# made a fresh `import shockgraph.cli` about 15 ms (6%) slower
-from scipy.spatial import cKDTree
-from scipy.sparse import csr_matrix
 
 from .bisectors import Bisector, make_bisectors
 from .contours import POINT, SEGMENT, BoundaryElement, check_no_crossings
@@ -61,15 +57,37 @@ _INF = math.inf
 # Vectorized distances over the element set
 # ---------------------------------------------------------------------------
 
-def _third_distance(ds, eids):
-    """Per row of ds (K, k), distances in ascending order to samples of the
-    elements eids (K, k): the distance at which a third distinct element
-    first appears, +inf where the row holds fewer than three."""
-    rows = np.arange(len(ds))
-    second = eids != eids[:, :1]
-    e2 = eids[rows, second.argmax(axis=1)]
-    third = second & (eids != e2[:, None])
-    return np.where(third.any(axis=1), ds[rows, third.argmax(axis=1)], _INF)
+def _ranges(starts, sizes):
+    """The indices starts[i] .. starts[i] + sizes[i] - 1, concatenated over
+    i."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if len(ends) else 0) \
+        + np.repeat(starts + sizes - ends, sizes)
+
+
+def _kth_distance(dist, eid, run, count, k):
+    """Per run 0 .. count - 1 of the samples (dist, eid), grouped by run in
+    ascending order: the distance to the k-th distinct element, each element
+    at its nearest sample; +inf in a run of fewer than k elements."""
+    out = np.full(count, _INF)
+    if not len(dist):
+        return out
+    step = run[1:] != run[:-1]
+    first = np.flatnonzero(np.r_[True, step])
+    pos = np.cumsum(np.r_[False, step])
+    for _ in range(k - 1):
+        low = np.minimum.reduceat(dist, first)
+        # drop one element at each run's minimum (any one, where several tie)
+        drop = np.maximum.reduceat(np.where(dist == low[pos], eid, -1), first)
+        dist = np.where(eid == drop[pos], _INF, dist)
+    out[run[first]] = np.minimum.reduceat(dist, first)
+    return out
+
+
+def _index(v, lo, side, count):
+    """The grid column or row of coordinate v, clamped into the grid: one
+    scalar value of ElementSet._axis, by the same operations."""
+    return int(min(max((v - lo) / side, 0.0), count - 1))
 
 
 class ElementSet:
@@ -80,12 +98,29 @@ class ElementSet:
     interior; the segment's endpoint PointSources own those regions, so the
     minimum over all elements still equals the true distance to the boundary.
 
-    One sample set serves every proximity query: every point element, and
-    every segment at a spacing of at most step = side / SAMPLES_PER_SIDE,
-    ends included.  side is the cell side below, so the sample count does
-    not depend on the coordinate unit.  The samples within radius + step/2
-    of q, from one kd-tree, hold every element within radius of q; exact
-    distances trim them.
+    One sample array serves every proximity query.  It holds every point
+    element, and every segment at a spacing of at most step = side /
+    SAMPLES_PER_SIDE, ends included, so an element within r of q has a
+    sample within r + step/2 of q.  side is the cell side below, so the
+    sample count does not depend on the coordinate unit.  The samples are
+    sorted by cell, and cells are numbered column by column, so the cells
+    from row y0 of column x0 to row y1 of column x1 are one slice of the
+    array, and a rectangle of cells is one slice per column.  A sample's cell
+    comes from the rounded formula that gives a query's cells (_axis), and
+    that formula does not decrease with the coordinate, so the cells of a
+    query's bounding square hold every sample inside the square.
+    - A point query (_ball_elements) takes the one slice from the cell of
+      its square's lower corner to the cell of its upper corner, and keeps
+      the samples within radius + step/2: a superset of the elements within
+      radius of q, which exact distances trim.
+    - A cell's bound (_ranked) searches square blocks of cells about the
+      cell, one ring wider at a time.  Every sample outside a block lies
+      farther from the centre than the block's half width, so a distance
+      found within that is exact: the distance to the sample of the k-th
+      distinct element nearest the centre.
+    - A ball (_balls) reads the cells of its square and keeps the elements
+      with a sample within its radius + step/2 and a closed distance within
+      its radius: exactly the elements within its radius.
 
     The table.  A grid of square cells, about one per element, covers the
     box of the element ends and the clip box.  For a cell c with half-diagonal
@@ -97,9 +132,10 @@ class ElementSet:
     within D1(c) + m' + h of the centre of some rim cell c, where D1 is the
     same bound for the nearest element and m' = 1e-5 (1 + D1(c)).  Two
     elements share a ball when one row holds both; that relation, M, gives
-    the candidate pairs and the crossing rows.  The balls are held once, in
-    CSR form, and M as a sparse matrix: both grow with the element count
-    times the ball size, which the scene's density sets.
+    the candidate pairs and the crossing rows.  The balls and M are held once
+    each, in CSR form: both grow with the element count times the ball size,
+    which the scene's density sets.  Each transient array of the build holds
+    at most TABLE_BUDGET entries, or one row's.
 
     Why the table is sound.  Every segment endpoint is a point element.  Let
     q in cell c lie at distance r from two generators, with no other element
@@ -131,10 +167,8 @@ class ElementSet:
 
     # samples per cell side on every segment (see _build_table)
     SAMPLES_PER_SIDE = 4
-    # nearest samples of a cell centre read first for its bound (see _reach)
-    CELL_K = 16
-    # cell centres per kd-tree ball query while the balls are built
-    BALL_CHUNK = 256
+    # entries per transient array of the table build
+    TABLE_BUDGET = 1 << 17
 
     def __init__(self, elements: list[BoundaryElement], box: Rect):
         self.n = len(elements)
@@ -166,7 +200,7 @@ class ElementSet:
         m = np.maximum(2, np.ceil(L / step).astype(int) + 1)
         last = np.cumsum(m) - 1
         # t = L k / (m - 1) for k = 0 .. m - 1, with the end exactly L
-        k = np.arange(last[-1] + 1 if len(m) else 0) - np.repeat(last + 1 - m, m)
+        k = _ranges(np.zeros_like(m), m)
         t = k * np.repeat(L / (m - 1), m)
         t[last] = L
         seg = np.repeat(np.arange(len(sid)), m)
@@ -175,10 +209,10 @@ class ElementSet:
                 np.concatenate([pid, sid[seg]]))
 
     def _build_table(self, box):
-        """The samples and their kd-tree, the grid, its bounds and balls,
-        and M (see the class docstring).  Cells are numbered ix * ny + iy;
-        number nx * ny is the exterior, whose bound is +inf and whose
-        validation ball is every element."""
+        """The sample array, the grid, its bounds and balls, and M (see the
+        class docstring).  Cells are numbered ix * ny + iy; number nx * ny
+        is the exterior, whose bound is +inf and whose validation ball is
+        every element."""
         # the element ends, as _samples computes them: its extreme samples
         ends = np.hstack([self._cols[:2],
                           self._cols[:2] + self._cols[4] * self._cols[2:4]])
@@ -194,8 +228,18 @@ class ElementSet:
         nx, ny = int(w / side * (1 - 1e-9)) + 1, int(h / side * (1 - 1e-9)) + 1
         side = max(side, w / nx, h / ny)
         self._step = side / self.SAMPLES_PER_SIDE
-        xy, self._sample_eid = self._samples(self._step)
-        self._tree = cKDTree(xy)
+        self._cell_lo, self._cell_side = tuple(lo.tolist()), side
+        self._cell_shape = (nx, ny)
+        # farther than this outside its cell no rounded cell index puts a
+        # sample (see _ranked)
+        self._slack = 1e-9 * side + 4.0 * float(np.spacing(np.abs(
+            np.concatenate([lo, hi])).max()))
+        xy, eid = self._samples(self._step)
+        cell = self._axis(xy[:, 0], 0) * ny + self._axis(xy[:, 1], 1)
+        order = np.argsort(cell, kind="stable")
+        self._sx, self._sy = xy[order, 0], xy[order, 1]
+        self._sample_eid = eid[order]
+        self._start = np.searchsorted(cell[order], np.arange(nx * ny + 1))
         ix, iy = np.divmod(np.arange(nx * ny), ny)
         centres = np.column_stack([lo[0] + (ix + 0.5) * side,
                                    lo[1] + (iy + 0.5) * side])
@@ -204,66 +248,141 @@ class ElementSet:
         bound = d3 + half
         limit = bound + 1e-5 * (1.0 + bound)
         rim = (ix == 0) | (ix == nx - 1) | (iy == 0) | (iy == ny - 1)
-        near = self._tree.query(centres[rim])[0] + half
-        # one query for the cells' balls and the rim's nearest-element balls
+        near = self._ranked(centres[rim], 1) + half
+        # one pass for the cells' balls and the rim's nearest-element balls
         ptr, ids = self._balls(
             np.vstack([centres, centres[rim]]),
             np.concatenate([limit, near + 1e-5 * (1.0 + near)]) + half)
         outer = np.unique(ids[ptr[nx * ny]:])
         ptr, ids = ptr[:nx * ny + 1], ids[:ptr[nx * ny]]
-        self._cell_lo, self._cell_side, self._cell_shape = lo, side, (nx, ny)
         self._cell_limit = np.append(limit, _INF)
         self._ball_ptr = np.append(ptr, ptr[-1] + self.n)
         self._ball_ids = np.concatenate([ids, np.arange(self.n)])
-        incidence = csr_matrix(
-            (np.ones(len(ids) + len(outer)), np.concatenate([ids, outer]),
-             np.append(ptr, ptr[-1] + len(outer))), shape=(nx * ny + 1, self.n))
-        share = (incidence.T @ incidence).tocsr()
-        share.sort_indices()
-        self._share_ptr, self._share_ids = share.indptr, share.indices
+        self._share_ptr, self._share_ids = self._share(
+            np.append(ptr, ptr[-1] + len(outer)), np.concatenate([ids, outer]))
+
+    def _axis(self, v, axis):
+        """The grid column (axis 0) or row (axis 1) of the coordinates v,
+        clamped into the grid."""
+        count = self._cell_shape[axis]
+        return np.clip((v - self._cell_lo[axis]) / self._cell_side,
+                       0, count - 1).astype(int)
+
+    def _gather(self, x0, x1, y0, y1):
+        """The samples in the rectangles of cells x0..x1 by y0..y1 (bounds
+        included, one rectangle per entry), whole rectangles at a time, at
+        most TABLE_BUDGET samples or one rectangle.  Yields (lo, hi, rect,
+        idx): the sample indices idx of rectangles lo .. hi - 1, grouped by
+        rectangle in order, and the rectangle of each."""
+        ny = self._cell_shape[1]
+        ncol = x1 - x0 + 1
+        rect = np.repeat(np.arange(len(x0)), ncol)
+        # one run of the sample array per column of each rectangle
+        col = _ranges(x0, ncol)
+        first = self._start[col * ny + y0[rect]]
+        size = self._start[col * ny + y1[rect] + 1] - first
+        runs = np.append(0, np.cumsum(ncol))
+        before = np.append(0, np.cumsum(size))[runs]
+        lo = 0
+        while lo < len(x0):
+            hi = max(lo + 1, int(np.searchsorted(
+                before, before[lo] + self.TABLE_BUDGET, "right")) - 1)
+            a, b = runs[lo], runs[hi]
+            yield lo, hi, np.repeat(rect[a:b], size[a:b]), \
+                _ranges(first[a:b], size[a:b])
+            lo = hi
 
     def _reach(self, centres):
-        """D3 at centres, without the half-diagonal: the distance to a
-        sample of the third distinct element (+inf with fewer than three
-        elements).  A row whose nearest samples hold fewer than three
-        elements asks again for twice as many, starting from CELL_K."""
-        eid, d3 = self._sample_eid, np.full(len(centres), _INF)
-        rest, k = np.arange(len(centres)), self.CELL_K
-        while len(rest) and k < 2 * len(eid):
-            k = min(k, len(eid))
-            ds, idx = self._tree.query(centres[rest], k=k)
-            d3[rest] = _third_distance(ds.reshape(len(rest), k),
-                                       eid[idx].reshape(len(rest), k))
-            rest, k = rest[np.isinf(d3[rest])], 2 * k
-        return d3
+        """D3 at the cell centres, without the half-diagonal: the distance
+        to a sample of the third distinct element (+inf with fewer than
+        three elements)."""
+        return self._ranked(centres, 3)
+
+    def _ranked(self, centres, k):
+        """Per cell centre, the distance to a sample of the k-th distinct
+        element nearest it (+inf with fewer than k elements), by a ring
+        search.  The block of ring R, the cells within R columns and R rows
+        of the centre's cell, holds every sample within (R + 1/2) side of
+        the centre, less _slack for the rounding of the cell index.  So a
+        distance within that is final; the other centres search the next
+        ring, until the block is the grid."""
+        (nx, ny), side = self._cell_shape, self._cell_side
+        ix, iy = np.divmod(self._cells(centres), ny)
+        out = np.full(len(centres), _INF)
+        rest, ring = np.arange(len(centres)), 0
+        while len(rest):
+            d = np.empty(len(rest))
+            for lo, hi, rect, idx in self._gather(
+                    np.maximum(ix[rest] - ring, 0),
+                    np.minimum(ix[rest] + ring, nx - 1),
+                    np.maximum(iy[rest] - ring, 0),
+                    np.minimum(iy[rest] + ring, ny - 1)):
+                dx = self._sx[idx] - centres[rest[rect], 0]
+                dy = self._sy[idx] - centres[rest[rect], 1]
+                d[lo:hi] = _kth_distance(np.sqrt(dx * dx + dy * dy),
+                                         self._sample_eid[idx], rect - lo,
+                                         hi - lo, k)
+            done = (d <= (ring + 0.5) * side - self._slack) \
+                | (ring >= max(nx, ny) - 1)
+            out[rest[done]] = d[done]
+            rest, ring = rest[~done], ring + 1
+        return out
 
     def _balls(self, centres, radius):
         """CSR (ptr, ids) over centres: the elements within radius of each
         centre (closed distance), ascending; every element where radius is
         +inf.  The samples within radius + step/2 give a superset, which
-        exact distances trim; BALL_CHUNK centres are queried at a time, so
-        the query's lists stay small."""
-        n, keys = self.n, []
-        for lo in range(0, len(centres), self.BALL_CHUNK):
-            cells = np.arange(lo, min(lo + self.BALL_CHUNK, len(centres)))
-            fin = np.isfinite(radius[cells])
-            keys.append((cells[~fin, None] * n + np.arange(n)).ravel())
-            if not fin.any():
-                continue
-            found = self._tree.query_ball_point(
-                centres[cells[fin]], radius[cells[fin]] + 0.5 * self._step,
-                return_sorted=False)
-            lens = np.fromiter(map(len, found), dtype=int, count=len(found))
-            flat = np.fromiter(itertools.chain.from_iterable(found),
-                               dtype=int, count=int(lens.sum()))
-            key = np.unique(np.repeat(cells[fin], lens) * n
-                            + self._sample_eid[flat])
+        exact distances trim."""
+        n = self.n
+        fin = np.isfinite(radius)
+        keys = [(np.nonzero(~fin)[0][:, None] * n + np.arange(n)).ravel()]
+        rows = np.nonzero(fin)[0]
+        x, y = centres[rows, 0], centres[rows, 1]
+        reach = radius[rows] + 0.5 * self._step
+        for _, _, rect, idx in self._gather(
+                self._axis(x - reach, 0), self._axis(x + reach, 0),
+                self._axis(y - reach, 1), self._axis(y + reach, 1)):
+            dx, dy = self._sx[idx] - x[rect], self._sy[idx] - y[rect]
+            near = dx * dx + dy * dy <= reach[rect] * reach[rect]
+            key = np.unique(rows[rect[near]] * n + self._sample_eid[idx[near]])
             c, e = np.divmod(key, n)
             keys.append(key[self._closed_dist(centres[c, 0], centres[c, 1], e)
                             <= radius[c]])
         keys = np.sort(np.concatenate(keys))
         return (np.searchsorted(keys // n, np.arange(len(centres) + 1)),
                 keys % n)
+
+    def _share(self, ptr, ids):
+        """M in CSR form (ptr, ids ascending per element): the elements that
+        share a row of the CSR (ptr, ids) with each element.  A block of
+        elements marks the members of each of their rows in a (block, n)
+        array, which nonzero reads back in order; a block gathers at most
+        TABLE_BUDGET members and marks as many entries, or is one
+        element."""
+        n, budget = self.n, self.TABLE_BUDGET
+        size = np.diff(ptr)
+        order = np.argsort(ids, kind="stable")
+        # the rows that hold each element, element by element
+        rows = np.repeat(np.arange(len(size)), size)[order]
+        eptr = np.searchsorted(ids[order], np.arange(n + 1))
+        before = np.append(0, np.cumsum(size[rows]))[eptr]
+        share, count = [], []
+        lo = 0
+        while lo < n:
+            hi = min(lo + max(1, budget // n), int(np.searchsorted(
+                before, before[lo] + budget, "right")) - 1)
+            hi = max(hi, lo + 1)
+            r = rows[eptr[lo]:eptr[hi]]
+            owner = np.repeat(np.arange(hi - lo) * n, np.diff(eptr[lo:hi + 1]))
+            mark = np.zeros((hi - lo) * n, dtype=bool)
+            member = ids[_ranges(ptr[r], size[r])]
+            mark[np.repeat(owner, size[r]) + member] = True
+            pos = np.flatnonzero(mark)
+            share.append(pos % n)
+            count.append(np.bincount(pos // n, minlength=hi - lo))
+            lo = hi
+        return (np.append(0, np.cumsum(np.concatenate(count))),
+                np.concatenate(share))
 
     def _cells(self, locs):
         """The cell of each of locs (K, 2): the exterior outside the grid,
@@ -304,8 +423,7 @@ class ElementSet:
             sz = size[lo:hi]
             off = ends[lo:hi] - sz - base
             c = np.repeat(live[lo:hi], sz)
-            e = self._ball_ids[np.arange(ends[hi - 1] - base)
-                               + np.repeat(start[lo:hi] - off, sz)]
+            e = self._ball_ids[_ranges(start[lo:hi], sz)]
             d = self._open_dist(locs[c, 0], locs[c, 1], e)
             d[(e == g1[c]) | (e == g2[c])] = _INF
             ok[live[lo:hi]] = np.minimum.reduceat(d, off) \
@@ -351,9 +469,20 @@ class ElementSet:
     def _ball_elements(self, q, radius, exclude_ids):
         """Distinct element ids outside exclude_ids with a sample within
         radius + step/2 of q: a superset of the elements within radius of
-        q."""
-        sids = self._tree.query_ball_point(q, radius + 0.5 * self._step + 1e-9)
-        return set(self._sample_eid[sids].tolist()).difference(exclude_ids)
+        q.  The cells of the disc's bounding square lie in the one slice
+        from the cell of its lower corner to the cell of its upper corner
+        (see the class docstring)."""
+        reach = radius + 0.5 * self._step + 1e-9
+        x, y = float(q[0]), float(q[1])
+        (lx, ly), side, (nx, ny) = (self._cell_lo, self._cell_side,
+                                    self._cell_shape)
+        a = self._start[_index(x - reach, lx, side, nx) * ny
+                        + _index(y - reach, ly, side, ny)]
+        b = self._start[_index(x + reach, lx, side, nx) * ny
+                        + _index(y + reach, ly, side, ny) + 1]
+        dx, dy = self._sx[a:b] - x, self._sy[a:b] - y
+        near = self._sample_eid[a:b][dx * dx + dy * dy <= reach * reach]
+        return set(near.tolist()).difference(exclude_ids)
 
     def _closed_dist(self, x, y, ids):
         """Closed distances from the points (x, y) to the elements ids,

@@ -18,7 +18,6 @@ links in gray (#808080).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -31,6 +30,12 @@ COLOR_CONTOUR = "#FF0000"
 COLOR_SHOCK = "#00FF00"
 COLOR_BOX = "#FF00FF"
 COLOR_PRUNED = "#808080"
+
+
+def _escape(text: str) -> str:
+    """text with &, > and < replaced by XML entities, in that order (as
+    xml.sax.saxutils.escape does; that module imports urllib and email)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -172,14 +177,14 @@ def format_graphml(doc: SgDocument) -> str:
     ]
     for n in doc.nodes:
         out.append('    <node id="n%d">' % n.id)
-        out.append('      <data key="label">%s</data>' % escape(n.label))
+        out.append('      <data key="label">%s</data>' % _escape(n.label))
         out.append('      <data key="features">%s</data>'
                    % " ".join(_fmt(v) for v in n.features))
         out.append('    </node>')
     for e in doc.links:
         out.append('    <edge id="e%d" source="n%d" target="n%d">'
                    % (e.id, e.from_node, e.to_node))
-        out.append('      <data key="elabel">%s</data>' % escape(e.label))
+        out.append('      <data key="elabel">%s</data>' % _escape(e.label))
         vals = np.concatenate([e.metrics[:3],
                                [float(LINK_LABEL_CODES[e.label])],
                                e.metrics[3:]])

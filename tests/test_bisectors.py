@@ -134,7 +134,7 @@ class TestClipping:
         assert recs == []
 
 
-class TestContactsArray:
+class TestContacts:
     def test_matches_scalar_for_all_kinds(self):
         cases = [
             make_bisectors(pt(0, (2, 2)), pt(1, (6, 2)))[0],

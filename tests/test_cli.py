@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -214,3 +217,41 @@ def test_traced_mask_sgtext_is_pinned(tmp_path, capsys, name, digest):
     assert code == cli.EXIT_OK
     data = (out / f"{name}.sg").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_jobs_pool_writes_what_a_serial_run_writes(tmp_path, capsys):
+    """--jobs 2 over two corpus scenes, in all three formats, writes the
+    same files, byte for byte, and the same report as --jobs 1."""
+    scenes = [str(resources.files("shockgraph.corpus") / f"{name}.scene")
+              for name in ("pair", "rectangle")]
+    written, reports = [], []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(scenes + ["-o", str(out), "--jobs", jobs,
+                                  "--format", "sgtext,graphml,svg"]) \
+            == cli.EXIT_OK
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        reports.append(re.sub(r"wall=\S+", "", capsys.readouterr().out))
+    assert len(written[0]) == 6
+    assert written[1] == written[0]
+    assert reports[1] == reports[0]
+
+
+def test_a_serial_run_loads_no_scipy(tmp_path):
+    """A fresh interpreter that imports shockgraph.cli and runs one scene
+    serially never loads scipy, multiprocessing or xml.sax: the runtime
+    needs numpy only, and the pool and the XML escape cost nothing when
+    unused."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; import shockgraph.cli as c; "
+            "assert c.main([sys.argv[1], '-o', sys.argv[2], "
+            "'--format', 'sgtext,graphml,svg']) == 0; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('scipy', 'multiprocessing') or m.startswith('xml.sax'))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, RECTANGLE, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ""
+    assert (tmp_path / "rectangle.svg").exists()

@@ -192,7 +192,7 @@ def _hundred_moved(scale, shift):
     pytest.param(lambda: _hundred_moved(1.0, 1e5), 485,
                  id="hundred-shift1e5")])
 def test_proximity_queries_match_full_scan(scene, n_elements):
-    """The kd-tree queries of ElementSet return what a scan of every
+    """The point queries of ElementSet return what a scan of every
     element returns, at random query points, radii and excluded pairs.  The
     samples are spaced from the cell side, so this holds however the scene
     is scaled or shifted."""
@@ -220,7 +220,7 @@ def test_proximity_queries_match_full_scan(scene, n_elements):
             np.array([q]), np.array([open_d.min() + 1e-9]), excl)[0] == \
             pytest.approx(open_d.min(), rel=1e-12, abs=tol)
         # a random radius, and radii that just reach the nearest element,
-        # whose closest point usually lies between two kd-tree samples
+        # whose closest point usually lies between two samples
         for radius in (rng.uniform(0.0, 0.15 * span), open_d.min() + 1e-9,
                        closed_d.min() + 1e-9):
             near = [int(i) for i in np.nonzero(open_d <= radius)[0]]
@@ -340,6 +340,105 @@ def _moved(frags, width, height, scale, shift):
 def _moved_random6(seed, scale, shift):
     """random_scene(6, seed) in a 100x100 image, moved as _moved moves it."""
     return _moved(random_scene(6, seed)[0], 100, 100, scale, shift)
+
+
+def _clustered_elements():
+    """random_scene(50, 5) packed into the 60x60 corner of a 400x400 image:
+    many samples share each cell of the scene's corner."""
+    return _boxed(random_scene(50, 5, width=60.0, height=60.0)[0], 400, 400)
+
+
+_GRID_SCENES = [
+    pytest.param(_hundred_elements, id="hundred"),
+    pytest.param(lambda: _mask_scene(_masks_workload_mask("blob")),
+                 id="mask-blob"),
+    pytest.param(_clustered_elements, id="clustered")]
+
+
+@pytest.mark.parametrize("scene", _GRID_SCENES)
+def test_point_queries_match_a_kd_tree(scene):
+    """_ball_elements returns the elements of the samples that a kd-tree
+    over the same samples finds within radius + step/2 + 1e-9 of q, less
+    the excluded ids, at seeded points anywhere in the box and near
+    samples, with radii from none to a third of the box."""
+    elements, rect = scene()
+    eset = engine.ElementSet(elements, rect)
+    tree = cKDTree(np.column_stack([eset._sx, eset._sy]))
+    rng = LCG(11)
+    side, m = eset._cell_side, len(eset._sample_eid)
+    span = max(rect.xmax - rect.xmin, rect.ymax - rect.ymin)
+    found = 0
+    for i in range(2000):
+        if i % 2:
+            s = rng.randint(0, m - 1)
+            q = (float(eset._sx[s]) + rng.uniform(-side, side),
+                 float(eset._sy[s]) + rng.uniform(-side, side))
+        else:
+            q = (rng.uniform(rect.xmin, rect.xmax),
+                 rng.uniform(rect.ymin, rect.ymax))
+        radius = rng.uniform(0.0, span / 3) if i % 5 == 0 \
+            else rng.uniform(0.0, 2 * side)
+        excl = (rng.randint(0, eset.n - 1),)
+        hits = tree.query_ball_point(q, radius + 0.5 * eset._step + 1e-9)
+        want = set(eset._sample_eid[hits].tolist()).difference(excl)
+        assert eset._ball_elements(q, radius, excl) == want, (i, q, radius)
+        found += len(want)
+    assert found > 10000  # the queries reach many elements
+
+
+def _scan_ranks(eset, centres):
+    """The nearest and the third-nearest distinct element of each centre
+    by a scan of every sample, distances as sqrt(dx * dx + dy * dy), each
+    element at its nearest sample (+inf where there are too few)."""
+    dx = eset._sx[None, :] - centres[:, :1]
+    dy = eset._sy[None, :] - centres[:, 1:]
+    order = np.argsort(eset._sample_eid, kind="stable")
+    eid = eset._sample_eid[order]
+    first = np.flatnonzero(np.r_[True, eid[1:] != eid[:-1]])
+    per = np.sort(np.minimum.reduceat(
+        np.sqrt(dx * dx + dy * dy)[:, order], first, axis=1), axis=1)
+    third = per[:, 2] if per.shape[1] >= 3 else np.full(len(centres), math.inf)
+    return per[:, 0], third
+
+
+@pytest.mark.parametrize("scene", _GRID_SCENES + [
+    pytest.param(lambda: _moved_random6(1, 1.0, 1e5), id="random6-shift1e5"),
+    pytest.param(lambda: _bare_points([(-1.0, 0.0), (1.0, 0.0)]),
+                 id="two-points"),
+    pytest.param(lambda: _bare_points([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0)]),
+                 id="three-points")])
+def test_ring_search_matches_a_scan_of_every_sample(scene):
+    """D3 at every cell centre and the nearest-sample distance at every rim
+    cell centre, as the ring search finds them, equal a scan of every
+    sample exactly."""
+    eset = engine.ElementSet(*scene())
+    (nx, ny), side, (lx, ly) = eset._cell_shape, eset._cell_side, \
+        eset._cell_lo
+    ix, iy = np.divmod(np.arange(nx * ny), ny)
+    centres = np.column_stack([lx + (ix + 0.5) * side,
+                               ly + (iy + 0.5) * side])
+    nearest, third = _scan_ranks(eset, centres)
+    assert eset._reach(centres).tolist() == third.tolist()
+    rim = (ix == 0) | (ix == nx - 1) | (iy == 0) | (iy == ny - 1)
+    assert eset._ranked(centres[rim], 1).tolist() == nearest[rim].tolist()
+
+
+@pytest.mark.parametrize("scene, budget", [
+    pytest.param(lambda: _boxed(random_scene(20, 2)[0], 100, 100), 1,
+                 id="random20-budget1"),
+    pytest.param(_clustered_elements, 997, id="clustered-budget997")])
+def test_table_does_not_depend_on_the_build_budget(scene, budget,
+                                                   monkeypatch):
+    """The bounds, balls and M are the same whether the table build takes
+    its transient arrays whole or in chunks of a small budget."""
+    elements, rect = scene()
+    whole = engine.ElementSet(elements, rect)
+    monkeypatch.setattr(engine.ElementSet, "TABLE_BUDGET", budget)
+    chunked = engine.ElementSet(elements, rect)
+    for name in ("_cell_limit", "_ball_ptr", "_ball_ids", "_share_ptr",
+                 "_share_ids"):
+        assert getattr(chunked, name).tolist() == \
+            getattr(whole, name).tolist(), name
 
 
 def _raw_dump(raw):
