@@ -17,7 +17,8 @@ The propagation engine asks each bisector two more things in closed form:
 crossing_params, the parameters where a third element's wavefront arrives
 with the bisector's own (the squared deficit dist(p, e)^2 - r^2 is a
 quadratic in t for every kind), and param_near, the parameter of the point
-nearest a location.
+nearest a location.  The graph asks one: side_area, the area a link sweeps
+on one side.
 """
 from __future__ import annotations
 
@@ -136,6 +137,12 @@ class Bisector:
         """Parameter of the radius minimum over [t_lo, t_hi]."""
         return min(max(0.0, self.t_lo), self.t_hi)
 
+    def side_area(self, t0, t1, side):
+        """Area between the curve from t0 to t1 and the contact locus of one
+        side (0 plus, 1 minus), closed by the end rays (closed form per
+        kind)."""
+        raise NotImplementedError
+
     def s_of_t(self, t):
         """Arc length at parameter t."""
         return t
@@ -196,6 +203,16 @@ class _LineLike(Bisector):
     def param_near(self, loc) -> float:
         o, w = self.origin, self.direction
         return (loc[0] - o[0]) * w[0] + (loc[1] - o[1]) * w[1]
+
+    def side_area(self, t0, t1, side):
+        """The curve and a straight (or constant) contact locus bound the
+        quadrilateral p0 p1 c1 c0: half the cross product of its
+        diagonals."""
+        ts = np.array([t0, t1])
+        (p0x, p0y), (p1x, p1y) = self.point(ts)
+        (c0x, c0y), (c1x, c1y) = self.contacts(ts)[side]
+        return 0.5 * abs((c1x - p0x) * (c0y - p1y)
+                         - (c1y - p0y) * (c0x - p1x))
 
     def crossing_params(self, rows):
         pid, pcol, sid, scol = rows
@@ -432,6 +449,14 @@ class ParabolaBisector(Bisector):
         """The xi of loc's foot on the directrix."""
         return (loc[0] - self.F[0]) * self.e1[0] \
             + (loc[1] - self.F[1]) * self.e1[1]
+
+    def side_area(self, t0, t1, side):
+        """The directrix side's area is the integral of eta over xi; the
+        focus side (plus) is a sector of half of it, since the cross product
+        (p - focus) x dp/dxi reduces to eta."""
+        h = self.h
+        integral = abs((t1 ** 3 - t0 ** 3) / (6.0 * h) + 0.5 * h * (t1 - t0))
+        return 0.5 * integral if side == 0 else integral
 
     def crossing_params(self, rows):
         pid, pcol, sid, scol = rows

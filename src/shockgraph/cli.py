@@ -14,7 +14,8 @@ contain.  One machine-parseable report record is printed per scene:
 
 Exit status is 0 iff every scene succeeded; otherwise the first failure
 class determines it: 2 parse/input error, 3 write error, 4 propagation
-budget exceeded, 5 internal structural error.
+budget exceeded, 5 internal structural error.  SHOCKGRAPH_EVENT_BUDGET, a
+positive integer, caps the propagation events of each scene.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from . import engine
 from .contours import (decompose, parse_scene_text, simplify_polyline,
                        trace_binary_mask)
 from .errors import (DegenerateInputError, InvalidInputError,
-                     NonterminationError, ShockGraphError)
+                     NonterminationError, ShockGraphError, WriteError)
 from .export import (format_graphml, format_sgtext, read_text, to_document,
                      to_svg)
 from .graph import build_graph
@@ -69,6 +70,8 @@ class RunConfig:
             raise InvalidInputError("bbox scale must be finite and > 1")
         if not self.polyline_epsilon >= 0:
             raise InvalidInputError("epsilon must be >= 0")
+        if self.event_budget is not None and not self.event_budget >= 1:
+            raise InvalidInputError("event budget must be >= 1")
         if not self.formats:
             raise InvalidInputError("no output format given")
         bad = [f for f in self.formats if f not in FORMATS]
@@ -143,9 +146,27 @@ def load_scene(path: str):
 # Pipeline
 # ---------------------------------------------------------------------------
 
+def boxed_elements(frags, width, height, config: RunConfig):
+    """(elements, clip rect, box fragment id): frags simplified at
+    config.polyline_epsilon (none at 0), boxed and decomposed."""
+    if config.polyline_epsilon > 0:
+        frags = [simplify_polyline(f, config.polyline_epsilon) for f in frags]
+    frags, rect, box_fid = augment_with_box(frags, width, height,
+                                            config.bbox_scale)
+    return decompose(frags), rect, box_fid
+
+
+def build(frags, width, height, config: RunConfig):
+    """(unpruned graph, elements, clip rect, box fragment id) of a scene."""
+    elements, rect, box_fid = boxed_elements(frags, width, height, config)
+    raw = engine.run(elements, rect, event_budget=config.event_budget)
+    return (build_graph(raw, elements, scene=(width, height)), elements,
+            rect, box_fid)
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write text to path through a temporary file in its directory, which
-    is created if missing; any OS failure is a 'cannot write' input error."""
+    is created if missing; any OS failure is a WriteError."""
     d = os.path.dirname(path) or "."
     tmp = None
     try:
@@ -157,20 +178,14 @@ def _atomic_write(path: str, text: str) -> None:
     except OSError as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+        raise WriteError(f"cannot write {path}: {exc}") from exc
 
 
 def run_scene(config: RunConfig, scene_path: str) -> dict:
     """Process one scene end to end; returns the report record."""
     t0 = time.perf_counter()
     width, height, frags = load_scene(scene_path)
-    if config.polyline_epsilon > 0:
-        frags = [simplify_polyline(f, config.polyline_epsilon) for f in frags]
-    frags, rect, box_fid = augment_with_box(frags, width, height,
-                                            config.bbox_scale)
-    elements = decompose(frags)
-    raw = engine.run(elements, rect, event_budget=config.event_budget)
-    graph = build_graph(raw, elements, scene=(width, height))
+    graph, elements, rect, box_fid = build(frags, width, height, config)
     graph = prune(graph, elements, lam=config.lam,
                   drop_box_links=config.drop_box_links,
                   box_fragment_id=box_fid)
@@ -193,10 +208,10 @@ def run_scene(config: RunConfig, scene_path: str) -> dict:
     return {
         "scene": scene_path,
         "status": "ok",
-        "elements": graph.stats.get("elements", len(elements)),
-        "candidates": graph.stats.get("candidates", 0),
-        "realized": graph.stats.get("realized", 0),
-        "discarded": graph.stats.get("discarded", 0),
+        "elements": graph.stats["elements"],
+        "candidates": graph.stats["candidates"],
+        "realized": graph.stats["realized"],
+        "discarded": graph.stats["discarded"],
         "nodes": len(graph.nodes),
         "links": len(graph.links),
         "wall": round(time.perf_counter() - t0, 3),
@@ -222,7 +237,7 @@ def _expand_inputs(paths: list[str]) -> list[str]:
 def _classify(exc: Exception) -> int:
     if isinstance(exc, NonterminationError):
         return EXIT_BUDGET
-    if isinstance(exc, InvalidInputError) and "cannot write" in str(exc):
+    if isinstance(exc, WriteError):
         return EXIT_WRITE
     if isinstance(exc, (InvalidInputError, DegenerateInputError, ValueError)):
         return EXIT_PARSE

@@ -12,11 +12,12 @@ from importlib import resources
 
 import numpy as np
 
-from ..contours import decompose, parse_scene_text
-from ..engine import run
+from .. import cli
+from ..contours import parse_scene_text
 from ..errors import InvalidInputError
-from ..graph import build_graph
-from ..regularize import augment_with_box, prune
+from ..regularize import prune
+
+_CONFIG = cli.RunConfig(inputs=[], polyline_epsilon=0.0)
 
 
 @dataclass
@@ -59,16 +60,6 @@ def load_manifest() -> list[GoldenScene]:
             raise InvalidInputError(
                 f"manifest parse error at line {lineno}: {exc}") from exc
     return scenes
-
-
-def _run_scene(golden: GoldenScene):
-    width, height, frags = parse_scene_text(_read(golden.scene_file))
-    frags, rect, box_fid = augment_with_box(frags, width, height)
-    elements = decompose(frags)
-    graph = build_graph(run(elements, rect), elements, scene=(width, height))
-    graph = prune(graph, elements, lam=golden.lam, box_fragment_id=box_fid)
-    box_ids = {e.id for e in elements if e.fragment_id == box_fid}
-    return graph, box_ids
 
 
 def _fragment_subgraph(graph, box_ids):
@@ -149,7 +140,10 @@ def verify_corpus() -> list[CorpusResult]:
     """Run the pipeline on every golden scene and check its expectations."""
     results = []
     for golden in load_manifest():
-        graph, box_ids = _run_scene(golden)
+        width, height, frags = parse_scene_text(_read(golden.scene_file))
+        graph, elements, _, box_fid = cli.build(frags, width, height, _CONFIG)
+        graph = prune(graph, elements, lam=golden.lam, box_fragment_id=box_fid)
+        box_ids = {e.id for e in elements if e.fragment_id == box_fid}
         _, deg, inflow, comps = _fragment_subgraph(graph, box_ids)
         diffs = []
         for kind, args, _tag in golden.expectations:

@@ -13,6 +13,10 @@ class InvalidInputError(ShockGraphError):
     """Input violates a structural precondition (e.g. crossing contours)."""
 
 
+class WriteError(InvalidInputError):
+    """An output file could not be written."""
+
+
 class StructuralError(ShockGraphError):
     """A graph invariant was violated (isolated node, dangling link, ...)."""
 

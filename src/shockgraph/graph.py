@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bisectors import KIND_PARABOLA, Bisector
+from .bisectors import Bisector
 from .contours import BoundaryElement
 from .errors import StructuralError
 from .geometry import EPS_REL
@@ -269,7 +269,7 @@ class ShockNode:
 class ShockGraph:
     nodes: list            # list[ShockNode], ids are list positions
     links: list            # list[ShockLink], ids are list positions
-    scene: tuple = None    # (width, height, box Rect)
+    scene: tuple = None    # (width, height) of the image
     stats: dict = field(default_factory=dict)
     elements: list = field(default_factory=list)  # ids are list positions
 
@@ -349,29 +349,12 @@ def classify_link(link: ShockLink, is_point: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _piece_side_area(piece: Piece, side: int) -> float:
-    """Area between the shock curve and one contact locus, closed by the end
-    rays.
-
-    Exact in closed form for every bisector kind: straight bisectors with
-    straight (or constant) contact loci bound a quadrilateral p0 p1 c1 c0,
-    whose area is half the cross product of its diagonals, and for a
-    parabola the directrix-side area is the integral of the directrix
-    distance eta over xi while the focus-side sector is half of it (the
-    cross product (p - focus) x dp/dxi reduces to eta)."""
+    """Area between the piece and one flow-relative side's contact locus,
+    closed by the end rays (Bisector.side_area)."""
     if piece.length <= 0.0:
         return 0.0
-    bis = piece.bisector
-    if bis.kind == KIND_PARABOLA:
-        xi0, xi1 = piece.t0, piece.t1
-        h = bis.h
-        integral = abs((xi1 ** 3 - xi0 ** 3) / (6.0 * h)
-                       + 0.5 * h * (xi1 - xi0))
-        focus_on_plus = piece.direction > 0  # gen_plus is the focus
-        return 0.5 * integral if (side == 0) == focus_on_plus else integral
-    ts = np.array([piece.t0, piece.t1])
-    (p0x, p0y), (p1x, p1y) = bis.point(ts)
-    (c0x, c0y), (c1x, c1y) = piece.contacts(ts)[side]
-    return 0.5 * abs((c1x - p0x) * (c0y - p1y) - (c1y - p0y) * (c0x - p1x))
+    return piece.bisector.side_area(
+        piece.t0, piece.t1, side if piece.direction > 0 else 1 - side)
 
 
 def link_area(link: ShockLink) -> float:

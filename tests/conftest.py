@@ -1,10 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from shockgraph import engine
-from shockgraph.contours import decompose
-from shockgraph.graph import build_graph
-from shockgraph.regularize import augment_with_box, prune
+from shockgraph import cli
+from shockgraph.regularize import prune
 from shockgraph.scenes import rectangle_fragment
 
 # Property tests draw the same examples on every run, and a slow example on
@@ -12,17 +10,15 @@ from shockgraph.scenes import rectangle_fragment
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
+# the pipeline's settings in the tests: unsimplified, boxed at scale 2
+UNSIMPLIFIED = cli.RunConfig(inputs=[], polyline_epsilon=0.0)
+
 
 def build_scene(fragments, width, height, lam=None):
-    """Full pipeline on a list of fragments inside a width x height image.
-
-    Returns (graph, elements, box rect, box fragment id); prunes at lam when
-    one is given.
-    """
-    frags, rect, box_fid = augment_with_box(list(fragments), width, height)
-    elements = decompose(frags)
-    graph = build_graph(engine.run(elements, rect), elements,
-                        scene=(width, height))
+    """cli.build of fragments in a width x height image, unsimplified;
+    prunes at lam when one is given."""
+    graph, elements, rect, box_fid = cli.build(fragments, width, height,
+                                               UNSIMPLIFIED)
     if lam is not None:
         graph = prune(graph, elements, lam=lam, box_fragment_id=box_fid)
     return graph, elements, rect, box_fid

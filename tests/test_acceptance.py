@@ -10,16 +10,15 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
-from shockgraph import engine, oracle
+from shockgraph import cli, engine, oracle
 from shockgraph.bisectors import (PointPointBisector,
                                   bisector_endpoint_own_segment,
                                   bisector_point_segment, make_bisectors)
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
-                                 decompose, resample_polyline)
+                                 resample_polyline)
 from shockgraph.corpus import verify_corpus
 from shockgraph.export import format_sgtext, parse_sgtext, to_sgtext
 from shockgraph.features import (FEATURE_LENGTH, PREFIX_LENGTH, edge_features,
@@ -31,7 +30,7 @@ from shockgraph.scenes import (LCG, equilateral_point_elements,
                                rectangle_fragment, regular_polygon_fragment,
                                smooth_curve_fragment, square_fragment)
 
-from conftest import build_scene
+from conftest import UNSIMPLIFIED, build_scene
 
 N_PAIRS = 1000
 N_SAMPLES = 1000
@@ -301,10 +300,8 @@ def _pruned_link_keys(graph):
 
 
 def test_regularization_64gon_collapses_to_center():
-    frags, rect, box_fid = augment_with_box(
+    graph, elements, _, box_fid = build_scene(
         [regular_polygon_fragment(64)], 10, 10)
-    elements = decompose(frags)
-    graph = build_graph(engine.run(elements, rect), elements)
     pruned = prune(graph, elements, lam=1.0, box_fragment_id=box_fid)
     central = [nd for nd in pruned.nodes
                if np.hypot(*nd.location) <= 0.05]
@@ -313,10 +310,8 @@ def test_regularization_64gon_collapses_to_center():
 
 
 def test_regularization_monotone_and_idempotent():
-    frags, rect, box_fid = augment_with_box(
+    graph, elements, _, box_fid = build_scene(
         [regular_polygon_fragment(64)], 10, 10)
-    elements = decompose(frags)
-    graph = build_graph(engine.run(elements, rect), elements)
     lams = (0.0, 0.25, 0.5, 1.0, 2.0)
     kept = []
     for lam in lams:
@@ -411,9 +406,8 @@ def test_complexity_scaling_slope():
     counts, walls, candidates = [], [], []
     for n in sizes:
         frags, img = random_element_scene(n, seed=n)
-        frags, rect, _ = augment_with_box(
-            frags, img.xmax - img.xmin, img.ymax - img.ymin)
-        elements = decompose(frags)
+        elements, rect, _ = cli.boxed_elements(
+            frags, img.xmax - img.xmin, img.ymax - img.ymin, UNSIMPLIFIED)
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()

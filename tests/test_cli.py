@@ -23,16 +23,18 @@ from perfbench.workloads import MASK_SHAPES, encode_p1
 RECTANGLE = str(resources.files("shockgraph.corpus") / "rectangle.scene")
 
 
-def _graph_at_defaults(path):
-    """(graph, width, height) of the pipeline at the CLI defaults, through
-    library calls."""
+def _graph_at_defaults(path, lam=1.0, bbox_scale=2.0, epsilon=0.8,
+                       drop_box_links=False):
+    """(graph, width, height) of the pipeline at the CLI defaults, or at the
+    settings given (epsilon > 0), through library calls."""
     width, height, frags = cli.load_scene(path)
-    frags = [simplify_polyline(f, 0.8) for f in frags]
-    frags, rect, box_fid = augment_with_box(frags, width, height, 2.0)
+    frags = [simplify_polyline(f, epsilon) for f in frags]
+    frags, rect, box_fid = augment_with_box(frags, width, height, bbox_scale)
     elements = decompose(frags)
     graph = build_graph(engine.run(elements, rect), elements,
                         scene=(width, height))
-    graph = prune(graph, elements, lam=1.0, box_fragment_id=box_fid)
+    graph = prune(graph, elements, lam=lam, drop_box_links=drop_box_links,
+                  box_fragment_id=box_fid)
     return graph, width, height
 
 
@@ -46,6 +48,24 @@ def test_corpus_rectangle_writes_pipeline_sgtext(tmp_path):
         written = (tmp_path / ("rectangle" + suffix)).read_text(
             encoding="utf-8")
         assert written == to_text(graph, width, height, 1.0, 2.0)
+
+
+def test_non_default_settings_reach_the_pipeline(tmp_path):
+    """--lambda, --bbox-scale, --epsilon and --drop-box-links away from
+    their defaults (each one alone changes this mask's sgtext) give the
+    sgtext of the library pipeline at the same settings."""
+    rng = LCG(1)
+    mask = dict((n, build(rng)) for n, build in MASK_SHAPES)["pentagon"]
+    scene = tmp_path / "pentagon.pbm"
+    scene.write_bytes(encode_p1(mask))
+    out = tmp_path / "out"
+    assert cli.main([str(scene), "-o", str(out), "--lambda", "0.5",
+                     "--bbox-scale", "3", "--epsilon", "0.3",
+                     "--drop-box-links"]) == cli.EXIT_OK
+    graph, width, height = _graph_at_defaults(
+        str(scene), lam=0.5, bbox_scale=3.0, epsilon=0.3, drop_box_links=True)
+    assert (out / "pentagon.sg").read_text(encoding="utf-8") == \
+        to_sgtext(graph, width, height, 0.5, 3.0)
 
 
 def test_garbage_scene_is_a_parse_error(tmp_path):
@@ -116,8 +136,12 @@ def test_degenerate_input_is_a_parse_error():
 
 
 def test_missing_file_is_a_parse_error(tmp_path):
-    missing = str(tmp_path / "missing.scene")
-    assert cli.main([missing, "-o", str(tmp_path)]) == cli.EXIT_PARSE
+    """Also under a directory named 'cannot write': the exit status follows
+    the error's type, not its message."""
+    for missing in (tmp_path / "missing.scene",
+                    tmp_path / "cannot write" / "missing.scene"):
+        assert cli.main([str(missing), "-o", str(tmp_path)]) \
+            == cli.EXIT_PARSE, missing
 
 
 def test_unknown_format_is_a_usage_error(tmp_path):
@@ -136,6 +160,16 @@ def test_negative_lambda_is_a_usage_error(tmp_path):
                         ("--bbox-scale", "1")):
         assert cli.main([RECTANGLE, "-o", str(tmp_path), flag, value]) \
             == cli.EXIT_USAGE, (flag, value)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_event_budget_below_one_is_a_usage_error(tmp_path, monkeypatch,
+                                                 budget):
+    """SHOCKGRAPH_EVENT_BUDGET below 1 is a usage error before any scene
+    runs, like the other bad settings; 0 is not the default budget."""
+    monkeypatch.setenv("SHOCKGRAPH_EVENT_BUDGET", budget)
+    assert cli.main([RECTANGLE, "-o", str(tmp_path)]) == cli.EXIT_USAGE
     assert not list(tmp_path.iterdir())
 
 

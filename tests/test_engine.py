@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from shockgraph import engine
+from shockgraph import cli, engine
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
                                  ContourFragment, decompose, parse_scene_text,
-                                 simplify_polyline, trace_binary_mask)
+                                 trace_binary_mask)
 from shockgraph.errors import NonterminationError
 from shockgraph.geometry import EPS_REL, Rect
 from shockgraph.graph import build_graph
@@ -19,10 +19,11 @@ from shockgraph.scenes import (LCG, random_scene, rectangle_fragment,
 
 from perfbench.workloads import MASK_SHAPES
 
+from conftest import UNSIMPLIFIED
+
 
 def _rectangle_setup():
-    frags, rect, _ = augment_with_box([rectangle_fragment()], 100, 100)
-    return decompose(frags), rect
+    return _boxed([rectangle_fragment()], 100, 100)
 
 
 class TestEnumeration:
@@ -84,10 +85,8 @@ class TestBudget:
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         frags, img = random_scene(8, 3)
-        frags, rect, _ = augment_with_box(frags, img[0], img[1]) \
-            if isinstance(img, tuple) else augment_with_box(
-                frags, img.xmax - img.xmin, img.ymax - img.ymin)
-        elements = decompose(frags)
+        elements, rect = _boxed(frags, img.xmax - img.xmin,
+                                img.ymax - img.ymin)
         a = engine.run(elements, rect)
         b = engine.run(elements, rect)
         assert a.stats == b.stats
@@ -151,18 +150,16 @@ def _corpus_scene(name):
 
 
 def _boxed(frags, width, height):
-    frags, rect, _ = augment_with_box(list(frags), width, height)
-    return decompose(frags), rect
+    return cli.boxed_elements(frags, width, height, UNSIMPLIFIED)[:2]
 
 
 def _mask_scene(mask, epsilon=0.8):
     """A traced binary mask as the CLI builds it by default: contours
     simplified at epsilon (none at 0), boxed at scale 2."""
     h, w = mask.shape
-    frags = trace_binary_mask(mask)
-    if epsilon > 0:
-        frags = [simplify_polyline(f, epsilon) for f in frags]
-    return _boxed(frags, float(w), float(h))
+    config = cli.RunConfig(inputs=[], polyline_epsilon=epsilon)
+    return cli.boxed_elements(trace_binary_mask(mask), float(w), float(h),
+                              config)[:2]
 
 
 def _masks_workload_mask(name, seed=1):
@@ -312,8 +309,7 @@ def test_candidate_pass_memory_slope():
     for n_frag in (100, 200, 400):
         size = 160.0 * math.sqrt(n_frag / 100)
         frags, _ = random_scene(n_frag, 101, width=size, height=size)
-        frags, rect, _ = augment_with_box(frags, size, size)
-        elements = decompose(frags)
+        elements, rect = _boxed(frags, size, size)
         eng = engine.Engine(elements, rect)
         tracemalloc.start()
         try:
