@@ -1,5 +1,8 @@
 """Analytic bisectors of point/segment source pairs, with every per-kind
-closed form behind the Bisector interface.
+closed form behind the Bisector interface.  The class is the kind:
+PointPointBisector (two points), LinearRadiusLine (two crossing segments,
+and a segment with its own endpoint), MidlineBisector (two parallel
+segments) and ParabolaBisector (a point and a segment).
 
 Every bisector is evaluated in one parameter t, its natural parameter, in
 which point and radius are closed form: t is arc length for the straight
@@ -30,11 +33,6 @@ import numpy as np
 from .contours import POINT, SEGMENT, BoundaryElement
 from .errors import DegenerateInputError, InvalidInputError
 from .geometry import EPS_GEOM, PARALLEL_EPS, Rect, cross, dot, perp
-
-KIND_LINE = "Line"
-KIND_PARABOLA = "Parabola"
-KIND_PERPENDICULAR = "PerpendicularAtEndpoint"
-KIND_MIDLINE = "Midline"
 
 _UNBOUNDED = 1e18
 
@@ -69,7 +67,6 @@ def _quad_roots(A, B, C):
 class Bisector:
     """Base class; subclasses provide the analytic parametrization."""
 
-    kind: str
     gen_plus: int   # element id whose contact lies left of the +t tangent
     gen_minus: int  # element id whose contact lies right of the +t tangent
     branch: int = 0
@@ -277,8 +274,6 @@ def _point_side(p):
 class PointPointBisector(_LineLike):
     """Perpendicular bisector line of two points; r(t) = hypot(half, t)."""
 
-    kind = KIND_LINE
-
     def __init__(self, a, b, id_a=-1, id_b=-2):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -318,18 +313,8 @@ class LinearRadiusLine(_LineLike):
         return self.slope * np.sign(np.asarray(t, dtype=float))
 
 
-class PerpendicularBisector(LinearRadiusLine):
-    kind = KIND_PERPENDICULAR
-
-
-class SegmentPairBisector(LinearRadiusLine):
-    kind = KIND_LINE
-
-
 class MidlineBisector(_LineLike):
     """Parallel-segment bisector: constant radius."""
-
-    kind = KIND_MIDLINE
 
     def __init__(self, origin, direction, r0, sides, gen_plus, gen_minus):
         super().__init__(origin, direction)
@@ -353,10 +338,8 @@ class ParabolaBisector(Bisector):
     """Bisector of a point (focus) and a segment's supporting line (directrix),
     parametrized by the directrix coordinate t = xi, with xi = 0 at the
     vertex: the point is F + xi e1 + eta(xi) n with eta = (xi^2 + h^2) / (2h),
-    which is also the radius. Arc length s(xi) is closed form (s_of_xi);
-    its inverse xi_of_s is Newton's method."""
-
-    kind = KIND_PARABOLA
+    which is also the radius. Arc length s(xi) is closed form (s_of_t);
+    its inverse t_of_s is Newton's method."""
 
     def __init__(self, focus, seg_a, seg_d, id_point, id_seg):
         focus = np.asarray(focus, dtype=float)
@@ -380,11 +363,11 @@ class ParabolaBisector(Bisector):
     def _s_of_z(self, z):
         return 0.5 * self.h * (z * np.sqrt(1.0 + z * z) + np.arcsinh(z))
 
-    def s_of_xi(self, xi):
+    def s_of_t(self, xi):
         return self._s_of_z(np.asarray(xi, dtype=float) / self.h)
 
-    def xi_of_s(self, s):
-        """Inverse of s_of_xi by Newton's method on z = xi / h, elementwise
+    def t_of_s(self, s):
+        """Inverse of s_of_t by Newton's method on z = xi / h, elementwise
         over an array of any shape."""
         h = self.h
         s_arr = np.asarray(s, dtype=float)
@@ -401,9 +384,6 @@ class ParabolaBisector(Bisector):
             if done.all():
                 break
         return z * h
-
-    s_of_t = s_of_xi
-    t_of_s = xi_of_s
 
     # -- geometry in xi ----------------------------------------------------
     def _eta(self, xi):
@@ -628,7 +608,7 @@ def _segment_pair_branches(u: BoundaryElement, v: BoundaryElement):
         side1 = cross(w, foot1 - pref)
         gp, gm = (u.id, v.id) if side1 > 0 else (v.id, u.id)
         sides = ((a1, d1), (a2, d2)) if gp == u.id else ((a2, d2), (a1, d1))
-        bis = SegmentPairBisector(O, w, slope, sides, gp, gm)
+        bis = LinearRadiusLine(O, w, slope, sides, gp, gm)
         bis.branch = branch
         bis.t_lo, bis.t_hi = dom_lo, dom_hi
         out.append(bis)
@@ -664,8 +644,7 @@ def bisector_endpoint_own_segment(p: BoundaryElement, seg: BoundaryElement):
     side = cross(direction, mid - origin)
     gp, gm = (seg.id, p.id) if side > 0 else (p.id, seg.id)
     touch = _point_side(p.geometry)
-    return PerpendicularBisector(origin, direction, 1.0, (touch, touch),
-                                 gp, gm)
+    return LinearRadiusLine(origin, direction, 1.0, (touch, touch), gp, gm)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ fill the source heap, which also takes back the bisector pieces whose
 radius minimum comes later than their candidate's time (see Engine.run);
 active shocks always take priority over sources.  Each active
 shock is advanced to its first termination: the earliest parameter where a
-third element's wavefront arrives simultaneously (a junction), the bisector
-domain end, or the clipping box.
+third element's wavefront arrives simultaneously (a junction), the edge of
+an interval of its branch already claimed, or the bisector domain end,
+clipped to the box.  Outflows start only from a junction end.
 
 Termination search is closed form: along every bisector kind the squared
 deficit dist(p, e)^2 - r^2 to a third element e is a quadratic in the
@@ -732,14 +733,14 @@ class RawNode:
 
 @dataclass
 class RawLink:
-    """One traversed bisector portion, in the bisector's parameter t."""
+    """One traversed bisector portion between two raw nodes, in the
+    bisector's parameter t."""
     id: int
     bisector: Bisector
     t_from: float    # traversal start (early time)
     t_to: float      # traversal end (late time)
     node_from: int
     node_to: int
-    end_kind: str    # "junction" | "boxexit" | "domain"
 
 
 @dataclass
@@ -774,7 +775,12 @@ class Engine:
         self.eset = ElementSet(elements, box)
         self.box = box
         n = len(elements)
-        self.event_budget = event_budget if event_budget else max(10 * n * n, 10000)
+        if event_budget is None:
+            event_budget = max(10 * n * n, 10000)
+        elif event_budget < 1:
+            raise InvalidInputError(
+                f"event budget {event_budget} is below 1")
+        self.event_budget = event_budget
         self.events = 0
         self.nodes: list[RawNode] = []
         self.links: list[RawLink] = []
@@ -929,8 +935,9 @@ class Engine:
         return cached
 
     def propagate(self, shock: ActiveShock):
-        """Advance one active shock to its termination; returns the end event
-        kind ("junction" | "boxexit" | "domain" | None for a dead shock)."""
+        """Advance one active shock to its termination, recording its link
+        and starting the outflows of a junction end, or drop a dead
+        shock."""
         rec = shock.bisector
         s0 = shock.start_param
         direction = shock.direction
@@ -942,19 +949,19 @@ class Engine:
         delta = 3e-7 * scale
         s_probe = s0 + direction * delta
         if (s_dom - s_probe) * direction <= 0:
-            return None
+            return
         # a wave already ahead of the front at the probe kills this direction
         qp = rec.point(s_probe)
         rp = float(rec.radius(s_probe))
         if self.eset.any_closer(qp, rp - 1e-9 * scale, gens):
-            return None
+            return
 
         # claimed-interval cap
         s_lim = s_dom
-        cap_kind = "domain"
+        at_claim = False
         claim_edge = self._next_claim_boundary(rec.branch_key, s0, direction)
         if claim_edge is not None and (s_lim - claim_edge) * direction > 0:
-            s_lim, cap_kind = claim_edge, "claim"
+            s_lim, at_claim = claim_edge, True
 
         span_full = abs(s_lim - s0)
         q0 = rec.point(s0)
@@ -1008,24 +1015,21 @@ class Engine:
                             if counts(k):
                                 hit.add(int(ids[k]))
                     if eid not in hit:
-                        return None
-        end_kind = cap_kind
-        s_end = s_lim
-        if s_first is not None and (s_lim - s_first) * direction > 0:
-            s_end, end_kind = s_first, "junction"
+                        return
+        crossed = s_first is not None and (s_lim - s_first) * direction > 0
+        s_end = s_first if crossed else s_lim
         if abs(s_end - s0) <= 1e-6 * scale:
-            return None
+            return
 
-        if end_kind == "claim":
-            end_kind, crossing = "junction", []
+        if at_claim and not crossed:
+            crossing = []
         else:
             crossing = self.eset.near_elements(
                 rec.point(s_end), float(rec.radius(s_end)) + 1e-6 * scale, gens)
-        if end_kind == "domain":
-            # feet ran out: the generator endpoint's wave takes over there
-            end_kind = "junction" if crossing else \
-                ("boxexit" if self.box.inset_distance(rec.point(s_end)) < 1e-6
-                 else "domain")
+        # a crossing and a claimed edge end at a junction; at the domain end
+        # the feet ran out, and the generator endpoint's wave takes over
+        # there when it touches the end
+        junction = crossed or at_claim or bool(crossing)
 
         # validity sweep: exact deficit at interior samples; a violation means
         # a crossing was missed, so truncate there by bisection
@@ -1048,9 +1052,9 @@ class Engine:
                     lo = mid
                 else:
                     hi = mid
-            s_end, end_kind = lo, "junction"
+            s_end, junction = lo, True
             if abs(s_end - s0) <= 1e-6 * scale:
-                return None
+                return
             crossing = self.eset.near_elements(
                 rec.point(s_end), float(rec.radius(s_end)) + 1e-6 * scale, gens)
 
@@ -1062,20 +1066,19 @@ class Engine:
         if node_to == shock.parent_node:
             # slack: the end is the start junction again (see _node_at); no
             # link, but the end's pairs are searched from where they meet
-            if end_kind == "junction":
+            if junction:
                 self._discover_outflows(node_to, end_gens, end_gens, end_loc,
                                         end_r)
-            return end_kind
+            return
         lid = len(self.links)
         self.links.append(RawLink(lid, rec, float(s0), float(s_end),
-                                  shock.parent_node, node_to, end_kind))
-        if end_kind == "junction":
+                                  shock.parent_node, node_to))
+        if junction:
             node = self.nodes[node_to]
             fresh = node.gen_ids - node.discovered
             node.discovered.update(node.gen_ids)
             self._discover_outflows(node_to, node.gen_ids, fresh,
                                     node.location, node.radius)
-        return end_kind
 
     def _valid_candidates(self) -> list[tuple]:
         """Form the candidates of the element pairs that share a ball and

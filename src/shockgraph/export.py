@@ -12,8 +12,7 @@ line:
 
 GraphML output is a directed graph carrying the same vectors as string
 attributes.  SVG renders contours in red (#FF0000), shock links in green
-(#00FF00), the bounding box in magenta (#FF00FF) and, in debug mode, pruned
-links in gray (#808080).
+(#00FF00) and the bounding box in magenta (#FF00FF).
 """
 from __future__ import annotations
 
@@ -29,7 +28,6 @@ from .graph import LINK_LABEL_CODES, LINK_SAMPLES, ShockGraph
 COLOR_CONTOUR = "#FF0000"
 COLOR_SHOCK = "#00FF00"
 COLOR_BOX = "#FF00FF"
-COLOR_PRUNED = "#808080"
 
 
 def _escape(text: str) -> str:
@@ -211,11 +209,9 @@ def _polyline(points, color, width) -> str:
 
 
 def to_svg(graph: ShockGraph, elements: list[BoundaryElement],
-           box, box_fragment_id: int | None = None,
-           pruned_links=()) -> str:
+           box, box_fragment_id: int | None = None) -> str:
     """Render a scene: boundary segments red (bounding-box segments
-    magenta), point elements as small dots, shock links green, and any
-    pruned links passed for debugging gray."""
+    magenta), point elements as small dots, and shock links green."""
     pad = 0.02 * max(box.xmax - box.xmin, box.ymax - box.ymin)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -224,9 +220,6 @@ def to_svg(graph: ShockGraph, elements: list[BoundaryElement],
         % (box.xmin - pad, box.ymin - pad,
            box.xmax - box.xmin + 2 * pad, box.ymax - box.ymin + 2 * pad),
     ]
-    for ln in pruned_links:
-        out.append(_polyline(ln.sample_points(LINK_SAMPLES),
-                             COLOR_PRUNED, "0.12"))
     for e in elements:
         color = (COLOR_BOX if box_fragment_id is not None
                  and e.fragment_id == box_fragment_id else COLOR_CONTOUR)

@@ -15,11 +15,13 @@ here, from each incident link end (ShockLink.end), and visits the ends in
 increasing theta, ties broken by link id.  The degree-2 node block is truncated
 to 12 entries so the degree-2 prefix is exactly 28; degree-1 leaves are
 padded as degree 2 with an all-zero second block.
+
+graph_features builds both matrices of a graph: each link's edge vector
+once, and each node's vector from the rows of its incident links.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,37 +30,15 @@ from .graph import (LINK_LABEL_CODES, NODE_LABEL_CODES, ShockGraph, ShockLink,
                     ShockNode)
 
 FEATURE_LENGTH = 58
-LAYOUT_VERSION = 1
 
 # node-block entry counts per padded degree (4 + 5*d, degree 2 clamped)
 _NODE_BLOCK = {2: 12, 3: 19, 4: 24}
 PREFIX_LENGTH = {d: _NODE_BLOCK[d] + 8 * d for d in _NODE_BLOCK}  # 28/43/56
 
 
-@dataclass
-class EdgeFeatureVector:
-    values: np.ndarray  # 8 entries: s, kappa, a, l, sB+, kB+, sB-, kB-
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-
-@dataclass
-class NodeFeatureVector:
-    values: np.ndarray  # 58 entries, zero beyond the populated prefix
-    degree: int
-    layout_version: int = LAYOUT_VERSION
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    @property
-    def prefix_length(self) -> int:
-        return PREFIX_LENGTH[self.degree]
-
-
-def edge_features(link: ShockLink) -> EdgeFeatureVector:
-    return EdgeFeatureVector(np.array([
+def edge_features(link: ShockLink) -> np.ndarray:
+    """8-entry edge block of a link (see module docstring)."""
+    return np.array([
         link.length,
         link.curvature,
         link.area,
@@ -67,7 +47,7 @@ def edge_features(link: ShockLink) -> EdgeFeatureVector:
         link.boundary_plus.curvature,
         link.boundary_minus.arc_length,
         link.boundary_minus.curvature,
-    ]))
+    ])
 
 
 def _boundary_tangent(elements: list, gid: int) -> float:
@@ -81,11 +61,10 @@ def _boundary_tangent(elements: list, gid: int) -> float:
 
 
 def node_features(node: ShockNode, graph: ShockGraph,
-                  ef: np.ndarray | None = None) -> NodeFeatureVector:
+                  ef: np.ndarray) -> np.ndarray:
     """58-entry feature vector of a node in its graph (see module docstring).
     ef is the graph's edge feature matrix, one row per link id, as
-    graph_features builds it; without it each incident link's edge vector
-    is built here.
+    graph_features builds it.
 
     Raises FeatureOverflowError above degree 4: the fixed layout has no slot
     for a fifth incident link.
@@ -99,7 +78,7 @@ def node_features(node: ShockNode, graph: ShockGraph,
         vec[0], vec[1] = node.location
         vec[2] = node.radius
         vec[3] = float(NODE_LABEL_CODES[node.label])
-        return NodeFeatureVector(vec, 2)
+        return vec
     padded = max(d, 2)  # degree-1 leaves carry one all-zero block
 
     thetas = np.zeros(padded)
@@ -120,8 +99,7 @@ def node_features(node: ShockNode, graph: ShockGraph,
         bx, by = end.contacts()[0]
         gen_plus = end.piece.side_generators()[0]
         bps[i] = (bx, by, _boundary_tangent(graph.elements, gen_plus))
-        edges[i] = (edge_features(graph.links[lid]).values if ef is None
-                    else ef[lid])
+        edges[i] = ef[lid]
 
     block = np.concatenate([
         [node.location[0], node.location[1], node.radius,
@@ -131,7 +109,7 @@ def node_features(node: ShockNode, graph: ShockGraph,
     vec = np.zeros(FEATURE_LENGTH)
     prefix = np.concatenate([block, edges.ravel()])
     vec[:len(prefix)] = prefix
-    return NodeFeatureVector(vec, padded)
+    return vec
 
 
 def graph_features(graph: ShockGraph):
@@ -139,8 +117,8 @@ def graph_features(graph: ShockGraph):
     link's edge vector is built once, and the node vectors read its row."""
     ef = np.zeros((len(graph.links), 8))
     for ln in graph.links:
-        ef[ln.id] = edge_features(ln).values
+        ef[ln.id] = edge_features(ln)
     nf = np.zeros((len(graph.nodes), FEATURE_LENGTH))
     for nd in graph.nodes:
-        nf[nd.id] = node_features(nd, graph, ef).values
+        nf[nd.id] = node_features(nd, graph, ef)
     return nf, ef

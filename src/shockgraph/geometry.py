@@ -65,11 +65,6 @@ class Rect:
         return (self.xmin - slack <= q[0] <= self.xmax + slack
                 and self.ymin - slack <= q[1] <= self.ymax + slack)
 
-    def inset_distance(self, q) -> float:
-        """Signed distance to the boundary: positive inside, negative outside."""
-        return min(q[0] - self.xmin, self.xmax - q[0],
-                   q[1] - self.ymin, self.ymax - q[1])
-
     def corners(self):
         return [(self.xmin, self.ymin), (self.xmax, self.ymin),
                 (self.xmax, self.ymax), (self.xmin, self.ymax)]

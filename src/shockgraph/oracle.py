@@ -34,11 +34,8 @@ class GridField:
     h: float
     origin: tuple           # center of cell (0, 0)
     shape: tuple            # (ny, nx)
-    nearest_dist: np.ndarray
     nearest_id: np.ndarray
     nearest_foot: np.ndarray
-    second_dist: np.ndarray
-    second_id: np.ndarray
     handover: np.ndarray    # (n, n) vertex-own-segment adjacency
 
     def cell_centers(self) -> np.ndarray:
@@ -93,13 +90,9 @@ def compute_field(elements: list[BoundaryElement], box: Rect,
             if e.kind == POINT or elements[other].kind == POINT:
                 handover[e.id, other] = handover[other, e.id] = True
 
-    nearest_d = np.empty(nx * ny)
     nearest_i = np.empty(nx * ny, dtype=int)
     nearest_f = np.empty((nx * ny, 2))
-    second_d = np.empty(nx * ny)
-    second_i = np.empty(nx * ny, dtype=int)
-    field = GridField(h, origin, (ny, nx), nearest_d, nearest_i, nearest_f,
-                      second_d, second_i, handover)
+    field = GridField(h, origin, (ny, nx), nearest_i, nearest_f, handover)
     centers = field.cell_centers()
     for lo in range(0, len(centers), 16384):
         pts = centers[lo:lo + 16384]
@@ -107,12 +100,7 @@ def compute_field(elements: list[BoundaryElement], box: Rect,
         rows = np.arange(len(pts))
         ni = d.argmin(axis=1)
         nearest_i[lo:lo + len(pts)] = ni
-        nearest_d[lo:lo + len(pts)] = d[rows, ni]
         nearest_f[lo:lo + len(pts)] = feet[rows, ni]
-        d2 = np.where(handover[ni], np.inf, d)
-        si = d2.argmin(axis=1)
-        second_i[lo:lo + len(pts)] = si
-        second_d[lo:lo + len(pts)] = d2[rows, si]
     return field
 
 

@@ -21,8 +21,7 @@ from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
                                  resample_polyline)
 from shockgraph.corpus import verify_corpus
 from shockgraph.export import format_sgtext, parse_sgtext, to_sgtext
-from shockgraph.features import (FEATURE_LENGTH, PREFIX_LENGTH, edge_features,
-                                 node_features)
+from shockgraph.features import FEATURE_LENGTH, PREFIX_LENGTH, graph_features
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box, prune
 from shockgraph.scenes import (LCG, equilateral_point_elements,
@@ -356,18 +355,17 @@ def test_polyline_invariance():
 def test_feature_contract(tmp_path):
     frags, _ = random_scene(12, 5)
     graph, elements, rect, box_fid = build_scene(frags, 100, 100, lam=1.0)
+    nf, ef = graph_features(graph)
+    assert nf.shape == (len(graph.nodes), FEATURE_LENGTH)
+    assert ef.shape == (len(graph.links), 8)
     saw_deg2 = False
     for nd in graph.nodes:
-        vec = node_features(nd, graph)
-        assert len(vec.values) == FEATURE_LENGTH
-        prefix = vec.prefix_length
-        assert np.all(vec.values[prefix:] == 0.0)
+        prefix = PREFIX_LENGTH[max(nd.degree, 2)]
+        assert np.all(nf[nd.id, prefix:] == 0.0)
         if nd.degree == 2:
             saw_deg2 = True
-            assert prefix == PREFIX_LENGTH[2] == 28
+            assert prefix == 28
     assert saw_deg2
-    for ln in graph.links:
-        assert len(edge_features(ln).values) == 8
 
     text = to_sgtext(graph, 100, 100, 1.0, 2.0)
     assert format_sgtext(parse_sgtext(text)) == text  # bit-exact round-trip

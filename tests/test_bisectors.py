@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from shockgraph.bisectors import (KIND_LINE, KIND_MIDLINE, KIND_PARABOLA,
-                                  KIND_PERPENDICULAR, LinearRadiusLine,
-                                  PointPointBisector,
+from shockgraph.bisectors import (LinearRadiusLine, MidlineBisector,
+                                  ParabolaBisector, PointPointBisector,
                                   bisector_endpoint_own_segment,
                                   bisector_point_segment, make_bisectors)
 from shockgraph.contours import POINT, SEGMENT, BoundaryElement
@@ -52,14 +51,14 @@ class TestPointPoint:
 class TestParabola:
     def test_kind_and_vertex(self):
         bis = bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))
-        assert bis.kind == KIND_PARABOLA
+        assert isinstance(bis, ParabolaBisector)
         assert np.allclose(bis.point(0.0), (0, 1))
         assert np.isclose(bis.radius(0.0), 1.0)
 
     def test_arc_length_inverse(self):
         bis = bisector_point_segment(pt(0, (0, 2)), seg(1, (-5, 0), (5, 0)))
         for s in (-3.0, -0.5, 0.0, 1.2, 4.0):
-            assert np.isclose(bis.s_of_xi(bis.xi_of_s(s)), s, atol=1e-12)
+            assert np.isclose(bis.s_of_t(bis.t_of_s(s)), s, atol=1e-12)
 
     def test_vector_scalar_agree(self):
         bis = bisector_point_segment(pt(0, (1, 3)), seg(1, (-5, 0), (6, 1)))
@@ -86,7 +85,7 @@ class TestEndpointOwnSegment:
         p = pt(0, (0, 0), adjacency=[1])
         s = seg(1, (0, 0), (3, 0), adjacency=[0])
         bis = bisector_endpoint_own_segment(p, s)
-        assert bis.kind == KIND_PERPENDICULAR
+        assert isinstance(bis, LinearRadiusLine)
         assert np.allclose(bis.point(0.0), (0, 0))
         # the line is perpendicular to the segment
         assert abs(np.dot(bis.direction, (1, 0))) <= 1e-12
@@ -100,14 +99,12 @@ class TestEndpointOwnSegment:
 class TestSegmentSegment:
     def test_parallel_gives_midline(self):
         recs = make_bisectors(seg(0, (0, 0), (4, 0)), seg(1, (0, 2), (4, 2)))
-        kinds = {b.kind for b in recs}
-        assert KIND_MIDLINE in kinds
-        mid = next(b for b in recs if b.kind == KIND_MIDLINE)
+        mid = next(b for b in recs if isinstance(b, MidlineBisector))
         assert np.isclose(mid.radius(0.5 * (mid.t_lo + mid.t_hi)), 1.0)
 
     def test_angled_gives_line(self):
         recs = make_bisectors(seg(0, (0, 0), (4, 0)), seg(1, (0, 3), (4, 4)))
-        assert recs and all(b.kind == KIND_LINE for b in recs)
+        assert recs and all(isinstance(b, LinearRadiusLine) for b in recs)
 
 
 class TestClipping:

@@ -6,7 +6,7 @@ from shockgraph.contours import (POINT, SEGMENT, ContourFragment,
                                  format_scene_text, parse_scene_text,
                                  resample_polyline, simplify_polyline,
                                  trace_binary_mask)
-from shockgraph.errors import DegenerateInputError, InvalidInputError
+from shockgraph.errors import InvalidInputError
 
 
 def square(frag_id=0):

@@ -10,7 +10,7 @@ from shockgraph import cli, engine
 from shockgraph.contours import (POINT, SEGMENT, BoundaryElement,
                                  ContourFragment, decompose, parse_scene_text,
                                  trace_binary_mask)
-from shockgraph.errors import NonterminationError
+from shockgraph.errors import InvalidInputError, NonterminationError
 from shockgraph.geometry import EPS_REL, Rect
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box
@@ -80,6 +80,12 @@ class TestBudget:
             engine.run(elements, rect, event_budget=3)
         except NonterminationError as exc:
             assert exc.diagnostics
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_raises(self, budget):
+        elements, rect = _rectangle_setup()
+        with pytest.raises(InvalidInputError):
+            engine.run(elements, rect, event_budget=budget)
 
 
 class TestDeterminism:
@@ -445,7 +451,7 @@ def _raw_dump(raw):
               sorted(n.discovered)) for n in raw.nodes]
     links = [(ln.id, type(ln.bisector).__name__, ln.bisector.pair,
               ln.bisector.branch_key, ln.t_from, ln.t_to, ln.node_from,
-              ln.node_to, ln.end_kind) for ln in raw.links]
+              ln.node_to) for ln in raw.links]
     stats = {k: v for k, v in raw.stats.items()
              if k not in ("candidates", "discarded", "crossing_rows")}
     return nodes, links, stats

@@ -1,11 +1,10 @@
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from shockgraph.errors import InvalidInputError
 from shockgraph.export import (format_sgtext, parse_sgtext, read_text,
-                               to_document, to_graphml, to_sgtext, to_svg)
+                               to_graphml, to_sgtext, to_svg)
 from shockgraph.scenes import random_scene
 
 from conftest import build_scene
@@ -87,9 +86,3 @@ class TestSvg:
         assert "#00FF00" in svg    # shock links
         assert "#FF00FF" in svg    # bounding box
         ET.fromstring(svg)
-
-    def test_pruned_links_gray(self, scene):
-        graph, elements, rect, box_fid = scene
-        svg = to_svg(graph, elements, rect, box_fragment_id=box_fid,
-                     pruned_links=graph.links[:1])
-        assert "#808080" in svg

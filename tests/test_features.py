@@ -21,20 +21,18 @@ def scene():
 class TestNodeVectors:
     def test_length_and_padding(self, scene):
         graph, _, _, _ = scene
+        nf, _ = graph_features(graph)
         for nd in graph.nodes:
-            fv = node_features(nd, graph)
-            assert fv.values.shape == (FEATURE_LENGTH,)
-            k = fv.prefix_length
-            assert k == PREFIX_LENGTH[fv.degree]
-            assert np.all(fv.values[k:] == 0.0)
+            assert np.all(nf[nd.id, PREFIX_LENGTH[max(nd.degree, 2)]:] == 0.0)
 
     def test_prefix_lengths(self):
         assert PREFIX_LENGTH == {2: 28, 3: 43, 4: 56}
 
     def test_header_entries(self, scene):
         graph, _, _, _ = scene
+        nf, _ = graph_features(graph)
         for nd in graph.nodes:
-            v = node_features(nd, graph).values
+            v = nf[nd.id]
             assert np.allclose(v[:2], nd.location)
             assert v[2] == nd.radius
             assert v[3] == NODE_LABEL_CODES[nd.label]
@@ -44,7 +42,7 @@ class TestNodeVectors:
                        link_ids=[0, 1, 2, 3, 4],
                        outgoing=[True] * 5)
         with pytest.raises(FeatureOverflowError):
-            node_features(nd, None)
+            node_features(nd, None, None)
 
 
 class TestEdgeVectors:
@@ -52,13 +50,13 @@ class TestEdgeVectors:
         graph, _, _, _ = scene
         for ln in graph.links:
             ev = edge_features(ln)
-            assert ev.values.shape == (8,)
-            assert np.isfinite(ev.values).all()
+            assert ev.shape == (8,)
+            assert np.isfinite(ev).all()
 
     def test_length_entry_positive(self, scene):
         graph, _, _, _ = scene
         for ln in graph.links:
-            assert edge_features(ln).values[0] > 0.0
+            assert edge_features(ln)[0] > 0.0
 
 
 class TestGraphFeatures:
@@ -69,8 +67,7 @@ class TestGraphFeatures:
         assert ef.shape == (len(graph.links), 8)
 
     def test_edge_vectors_built_once(self, scene, monkeypatch):
-        """graph_features builds each link's edge vector once, and its node
-        rows equal node_features building the incident edge vectors itself."""
+        """graph_features builds each link's edge vector once."""
         graph, _, _, _ = scene
         built = []
 
@@ -79,12 +76,8 @@ class TestGraphFeatures:
             return edge_features(link)
 
         monkeypatch.setattr(features, "edge_features", counted)
-        nf, ef = graph_features(graph)
+        graph_features(graph)
         assert sorted(built) == list(range(len(graph.links)))
-        monkeypatch.undo()
-        for nd in graph.nodes:
-            assert nf[nd.id].tolist() == \
-                node_features(nd, graph).values.tolist()
 
 
 class TestNodeDescriptor:
@@ -119,8 +112,9 @@ class TestNodeDescriptor:
     def test_theta_phi_contact(self, graphs):
         degrees = set()
         for graph in graphs:
+            nf, _ = graph_features(graph)
             for nd in graph.nodes:
-                if 1 <= nd.degree <= 4:
+                if nd.degree:
                     degrees.add(nd.degree)
-                    self.check_node(nd, node_features(nd, graph).values)
+                    self.check_node(nd, nf[nd.id])
         assert {1, 3} <= degrees

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shockgraph.bisectors import KIND_PARABOLA
+from shockgraph.bisectors import ParabolaBisector
 from shockgraph.errors import StructuralError
 from shockgraph.graph import (DEGENERATE, JUNCTION, REGULAR, SEMIDEGENERATE,
                               SINK, SOURCE, ShockNode, classify_node,
@@ -73,7 +73,8 @@ class TestGeometry:
         # whether sampling maps arc length back to the parameter
         graph, _, _, _ = rectangle_scene
         links = [ln for ln in graph.links
-                 if any(p.bisector.kind == KIND_PARABOLA for p in ln.pieces)]
+                 if any(isinstance(p.bisector, ParabolaBisector)
+                        for p in ln.pieces)]
         assert links
         for ln in links:
             chords = np.hypot(*np.diff(ln.sample_points(65), axis=0).T)
