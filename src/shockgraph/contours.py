@@ -28,8 +28,10 @@ class ContourFragment:
             raise InvalidInputError(f"fragment {self.id}: non-finite coordinates")
         if self.closed and v.shape[0] >= 2 and np.allclose(v[0], v[-1], atol=EPS_GEOM):
             v = v[:-1]  # closure is implicit
-        if v.shape[0] < 2:
-            raise InvalidInputError(f"fragment {self.id}: needs >= 2 vertices")
+        if self.closed and v.shape[0] < 3:
+            # two vertices would close into one edge traversed twice
+            raise InvalidInputError(
+                f"fragment {self.id}: a closed fragment needs >= 3 vertices")
         steps = np.diff(np.vstack([v, v[:1]]) if self.closed else v, axis=0)
         if np.any(np.hypot(steps[:, 0], steps[:, 1]) <= EPS_GEOM):
             raise InvalidInputError(f"fragment {self.id}: consecutive duplicate vertices")
@@ -96,7 +98,8 @@ def simplify_polyline(fragment: ContourFragment, epsilon: float) -> ContourFragm
     """Max-deviation (Douglas-Peucker) simplification.
 
     Endpoints are always preserved; closed fragments keep vertex 0 and the
-    vertex farthest from it as anchors. epsilon=0 returns the input unchanged.
+    vertex farthest from it as anchors, and at least one more vertex.
+    epsilon=0 returns the input unchanged.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -118,14 +121,16 @@ def simplify_polyline(fragment: ContourFragment, epsilon: float) -> ContourFragm
         _dp_indices(ring, 0, anchor2, epsilon, keep)
         _dp_indices(ring, anchor2, n, epsilon, keep)
         keep.discard(n)
+        if len(keep) == 2:
+            # a closed fragment needs a third vertex: the one farthest from
+            # the anchors' chord, the lowest index on a tie
+            rest = [i for i in range(1, n) if i != anchor2]
+            chord = [pts[0]] + [pts[i] for i in rest] + [pts[anchor2]]
+            keep.add(rest[_max_deviation(chord, 0, len(chord) - 1)[0] - 1])
     else:
         keep.update((0, n - 1))
         _dp_indices(pts, 0, n - 1, epsilon, keep)
-    idx = sorted(keep)
-    out = v[idx]
-    if out.shape[0] < 2:
-        out = v[[0, int(np.argmax(np.hypot(*(v - v[0]).T)))]]
-    return ContourFragment(fragment.id, out, fragment.closed)
+    return ContourFragment(fragment.id, v[sorted(keep)], fragment.closed)
 
 
 def resample_polyline(fragment: ContourFragment, spacing: float) -> ContourFragment:

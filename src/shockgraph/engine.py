@@ -4,7 +4,7 @@ and shock sources.
 One table, ElementSet's grid of cell balls, says which elements can matter
 where; it is sound by construction, so nothing downstream checks or repairs
 it.  Candidate shock sources are formed only for the element pairs that
-share a ball, in slices of about _PAIR_BUDGET pairs, and validated exactly
+share a ball, in slices of about TABLE_BUDGET pairs, and validated exactly
 against their cell's ball (ElementSet.valid_sources).  The valid candidates
 fill the source heap, which also takes back the bisector pieces whose
 radius minimum comes later than their candidate's time (see Engine.run);
@@ -64,6 +64,21 @@ def _ranges(starts, sizes):
     ends = np.cumsum(sizes)
     return np.arange(ends[-1] if len(ends) else 0) \
         + np.repeat(starts + sizes - ends, sizes)
+
+
+def _blocks(sizes, budget, most=None):
+    """Consecutive item ranges (lo, hi) that tile 0 .. len(sizes) in order:
+    each takes as many items as keep the sum of their sizes within budget,
+    at most most items, and always at least one."""
+    before = np.append(0, np.cumsum(sizes))
+    lo = 0
+    while lo < len(sizes):
+        hi = int(np.searchsorted(before, before[lo] + budget, "right")) - 1
+        if most is not None:
+            hi = min(hi, lo + most)
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def _kth_distance(dist, eid, run, count, k):
@@ -168,7 +183,13 @@ class ElementSet:
 
     # samples per cell side on every segment (see _build_table)
     SAMPLES_PER_SIDE = 4
-    # entries per transient array of the table build
+    # entries per transient array, which bounds the memory of every streamed
+    # pass (see _blocks): the table build's gathers and marks; the candidate
+    # pass's slices of this many element pairs, at about 240 bytes a pair
+    # (about 30 MB) however many pairs the scene has; and its validation
+    # gathers of 1/32 as many (candidate, element) pairs, at about 140 bytes
+    # a pair (under 1 MB), as a few thousand element pairs already gather
+    # hundreds of thousands
     TABLE_BUDGET = 1 << 17
 
     def __init__(self, elements: list[BoundaryElement], box: Rect):
@@ -283,15 +304,11 @@ class ElementSet:
         first = self._start[col * ny + y0[rect]]
         size = self._start[col * ny + y1[rect] + 1] - first
         runs = np.append(0, np.cumsum(ncol))
-        before = np.append(0, np.cumsum(size))[runs]
-        lo = 0
-        while lo < len(x0):
-            hi = max(lo + 1, int(np.searchsorted(
-                before, before[lo] + self.TABLE_BUDGET, "right")) - 1)
+        for lo, hi in _blocks(np.diff(np.append(0, np.cumsum(size))[runs]),
+                              self.TABLE_BUDGET):
             a, b = runs[lo], runs[hi]
             yield lo, hi, np.repeat(rect[a:b], size[a:b]), \
                 _ranges(first[a:b], size[a:b])
-            lo = hi
 
     def _reach(self, centres):
         """D3 at the cell centres, without the half-diagonal: the distance
@@ -366,13 +383,10 @@ class ElementSet:
         # the rows that hold each element, element by element
         rows = np.repeat(np.arange(len(size)), size)[order]
         eptr = np.searchsorted(ids[order], np.arange(n + 1))
-        before = np.append(0, np.cumsum(size[rows]))[eptr]
+        # the members each element's rows gather
+        gathered = np.diff(np.append(0, np.cumsum(size[rows]))[eptr])
         share, count = [], []
-        lo = 0
-        while lo < n:
-            hi = min(lo + max(1, budget // n), int(np.searchsorted(
-                before, before[lo] + budget, "right")) - 1)
-            hi = max(hi, lo + 1)
+        for lo, hi in _blocks(gathered, budget, max(1, budget // n)):
             r = rows[eptr[lo]:eptr[hi]]
             owner = np.repeat(np.arange(hi - lo) * n, np.diff(eptr[lo:hi + 1]))
             mark = np.zeros((hi - lo) * n, dtype=bool)
@@ -381,7 +395,6 @@ class ElementSet:
             pos = np.flatnonzero(mark)
             share.append(pos % n)
             count.append(np.bincount(pos // n, minlength=hi - lo))
-            lo = hi
         return (np.append(0, np.cumsum(np.concatenate(count))),
                 np.concatenate(share))
 
@@ -403,33 +416,27 @@ class ElementSet:
         upper = ids > i
         return i[upper], ids[upper]
 
-    def valid_sources(self, locs, times, g1, g2, budget):
+    def valid_sources(self, locs, times, g1, g2):
         """Boolean mask over candidate sources (locs (K, 2), formation
         times, generator ids g1/g2): True where no element but the
         generators lies at open distance below the time, less 1e-9.  A
         candidate whose time exceeds its cell's bound plus margin is invalid
         untested; the others are tested exactly against their cell's ball
-        (see the class docstring).  A gather holds at most budget
+        (see the class docstring).  A gather holds at most TABLE_BUDGET // 32
         (candidate, element) pairs, or one candidate's ball."""
         cell = self._cells(locs)
         live = np.nonzero(~(times > self._cell_limit[cell]))[0]
         start = self._ball_ptr[cell[live]]
         size = self._ball_ptr[cell[live] + 1] - start
-        ends = np.cumsum(size)
         ok = np.zeros(len(times), dtype=bool)
-        lo = 0
-        while lo < len(live):
-            base = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, base + budget, "right")))
+        for lo, hi in _blocks(size, self.TABLE_BUDGET // 32):
             sz = size[lo:hi]
-            off = ends[lo:hi] - sz - base
             c = np.repeat(live[lo:hi], sz)
             e = self._ball_ids[_ranges(start[lo:hi], sz)]
             d = self._open_dist(locs[c, 0], locs[c, 1], e)
             d[(e == g1[c]) | (e == g2[c])] = _INF
-            ok[live[lo:hi]] = np.minimum.reduceat(d, off) \
+            ok[live[lo:hi]] = np.minimum.reduceat(d, np.cumsum(sz) - sz) \
                 >= times[live[lo:hi]] - 1e-9
-            lo = hi
         return ok
 
     def crossing_rows(self, g1: int, g2: int):
@@ -556,15 +563,6 @@ class ElementSet:
 _FRESH = _INF
 
 
-# Element pairs per candidate slice.  A slice builds about 240 bytes of
-# transient arrays per pair, so slices of this many pairs (about 30 MB)
-# bound the pass's memory however many pairs the scene has.  A validation
-# gather builds about 140 bytes per (candidate, element) pair, and a scene
-# of a few thousand element pairs already gathers hundreds of thousands,
-# so a gather takes 1/32 of the budget (under 1 MB).
-_PAIR_BUDGET = 1 << 17
-
-
 def _candidate_part(t, x, y, a, b, br):
     """One family's candidates as flat arrays (time, x, y, gen_lo, gen_hi,
     branch); branch -1 marks candidates whose bisector branch is resolved
@@ -668,11 +666,11 @@ def _segment_segment_candidates(segs, A, Du, L, sids, iu, ju):
                               loc[:, 1], i1[okw], i2[okw], br)
 
 
-def _candidate_slices(elements: list[BoundaryElement], pairs, budget: int):
+def _candidate_slices(elements: list[BoundaryElement], pairs):
     """Candidates of the element pairs (i, j) of ElementSet.pairs, a slice
-    at a time: a slice holds whole runs of one i, at most budget pairs or
-    one run.  Each slice is yielded as the concatenated arrays of
-    _candidate_part."""
+    at a time: a slice holds whole runs of one i, at most
+    ElementSet.TABLE_BUDGET pairs or one run.  Each slice is yielded as the
+    concatenated arrays of _candidate_part."""
     points = [e for e in elements if e.kind == POINT]
     segs = [e for e in elements if e.kind == SEGMENT]
     P = np.array([p.geometry for p in points], dtype=float).reshape(-1, 2)
@@ -698,13 +696,10 @@ def _candidate_slices(elements: list[BoundaryElement], pairs, budget: int):
         own = sorted(e for e in s.adjacency if not is_seg[e])
         ends[c, :len(own)] = own
     i, j = pairs
-    lo = 0
-    while lo < len(i):
-        hi = lo + budget
-        if hi < len(i):
-            hi = max(int(np.searchsorted(i, i[hi], "left")),
-                     int(np.searchsorted(i, i[lo], "right")))
-        a, b = i[lo:hi], j[lo:hi]
+    # the pairs of element e are run[e] .. run[e + 1] - 1
+    run = np.searchsorted(i, np.arange(len(elements) + 1))
+    for lo, hi in _blocks(np.diff(run), ElementSet.TABLE_BUDGET):
+        a, b = i[run[lo]:run[hi]], j[run[lo]:run[hi]]
         sa, sb = is_seg[a], is_seg[b]
         pp, ss, mixed = ~(sa | sb), sa & sb, sa != sb
         pt, sg = np.where(sa, b, a)[mixed], row[np.where(sa, a, b)[mixed]]
@@ -715,7 +710,6 @@ def _candidate_slices(elements: list[BoundaryElement], pairs, budget: int):
         parts += _segment_segment_candidates(segs, A, Du, L, sids,
                                              row[a[ss]], row[b[ss]])
         yield tuple(np.concatenate(col) for col in zip(*parts))
-        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -1083,14 +1077,13 @@ class Engine:
     def _valid_candidates(self) -> list[tuple]:
         """Form the candidates of the element pairs that share a ball and
         keep the valid ones (ElementSet.valid_sources), a slice of about
-        _PAIR_BUDGET pairs at a time, so the pass never holds all pairs.
+        TABLE_BUDGET pairs at a time, so the pass never holds all pairs.
         Returns them as fresh sources (see _FRESH), sorted."""
         out = []
-        for t, x, y, g1, g2, br in _candidate_slices(
-                self.elements, self.eset.pairs(), _PAIR_BUDGET):
+        for t, x, y, g1, g2, br in _candidate_slices(self.elements,
+                                                     self.eset.pairs()):
             self.stats["candidates"] += len(t)
-            ok = self.eset.valid_sources(np.column_stack([x, y]), t, g1, g2,
-                                         _PAIR_BUDGET // 32)
+            ok = self.eset.valid_sources(np.column_stack([x, y]), t, g1, g2)
             out += zip(t[ok].tolist(), itertools.repeat(_FRESH),
                        g1[ok].tolist(), g2[ok].tolist(), br[ok].tolist())
         self.stats["discarded"] = self.stats["candidates"] - len(out)

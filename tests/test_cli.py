@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from shockgraph import cli, engine
-from shockgraph.contours import (ContourFragment, decompose,
+from shockgraph.contours import (POINT, SEGMENT, ContourFragment, decompose,
                                  format_scene_text, simplify_polyline)
 from shockgraph.errors import DegenerateInputError
 from shockgraph.export import to_graphml, to_sgtext
@@ -171,6 +171,60 @@ def test_event_budget_below_one_is_a_usage_error(tmp_path, monkeypatch,
     monkeypatch.setenv("SHOCKGRAPH_EVENT_BUDGET", budget)
     assert cli.main([RECTANGLE, "-o", str(tmp_path)]) == cli.EXIT_USAGE
     assert not list(tmp_path.iterdir())
+
+
+def test_exceeded_event_budget_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SHOCKGRAPH_EVENT_BUDGET", "5")
+    assert cli.main([RECTANGLE, "-o", str(tmp_path)]) == cli.EXIT_BUDGET
+    assert "status=error code=4 message=event budget exceeded" in \
+        capsys.readouterr().out
+
+
+def test_two_vertex_closed_fragment_is_a_parse_error(tmp_path, capsys):
+    """Closed, two vertices are one edge traversed twice, which bounds no
+    area; before its rejection the scene failed on a node of degree 5."""
+    scene = tmp_path / "sliver.scene"
+    scene.write_text("scene 20 20\nfragment 0 closed\nv 5 5\nv 15 12\n")
+    assert cli.main([str(scene), "-o", str(tmp_path)]) == cli.EXIT_PARSE
+    assert "closed fragment needs >= 3 vertices" in capsys.readouterr().out
+
+
+def _pixel_mask(shape, pixels):
+    mask = np.zeros(shape, dtype=bool)
+    for r, c in pixels:
+        mask[r, c] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask, epsilon, euler", [
+    pytest.param(_pixel_mask((5, 5), [(2, 2)]), 0.8, 1, id="lone-pixel"),
+    pytest.param(_pixel_mask((4, 4), [(1, 1), (2, 2)]), 0.0, 2,
+                 id="checkerboard-corner-unsimplified"),
+    pytest.param(_pixel_mask((4, 4), [(1, 1), (2, 2)]), 0.8, 2,
+                 id="checkerboard-corner")])
+def test_pixel_masks_keep_their_topology(tmp_path, capsys, mask, epsilon,
+                                         euler):
+    """Pixels as a P1 mask through the CLI exit 0, no segment element is
+    emitted twice, and the pruned graph validates with the Euler
+    characteristic of the domain, V - E = 1 + S - P with S segment and P
+    point elements, box included.  Before, each pixel at epsilon 0.8 became
+    a closed 2-vertex fragment, its edge two segment elements, and V - E
+    read -4."""
+    scene = tmp_path / "pixels.pbm"
+    scene.write_bytes(encode_p1(mask))
+    assert cli.main([str(scene), "-o", str(tmp_path / "out"),
+                     "--epsilon", str(epsilon)]) == cli.EXIT_OK
+    capsys.readouterr()
+    width, height, frags = cli.load_scene(str(scene))
+    config = cli.RunConfig(inputs=[], polyline_epsilon=epsilon)
+    graph, elements, _, box_fid = cli.build(frags, width, height, config)
+    graph = prune(graph, elements, lam=config.lam, box_fragment_id=box_fid)
+    graph.validate()
+    ends = [frozenset(e.geometry) for e in elements if e.kind == SEGMENT]
+    assert len(set(ends)) == len(ends)
+    points = sum(e.kind == POINT for e in elements)
+    assert len(graph.nodes) - len(graph.links) == 1 + len(ends) - points \
+        == euler
 
 
 def test_uncreatable_output_dir_is_a_write_error(tmp_path, capsys):

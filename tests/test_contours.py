@@ -28,6 +28,12 @@ class TestFragmentValidation:
         with pytest.raises(InvalidInputError):
             ContourFragment(0, np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
 
+    def test_closed_needs_three_vertices(self):
+        """Also when the third is the explicit closure, which is dropped."""
+        for v in ([[0., 0.], [1., 0.]], [[0., 0.], [1., 0.], [0., 0.]]):
+            with pytest.raises(InvalidInputError):
+                ContourFragment(0, np.array(v), closed=True)
+
     def test_explicit_closure_dropped(self):
         f = ContourFragment(0, np.array([[0., 0.], [1., 0.], [1., 1.],
                                          [0., 0.]]), closed=True)
@@ -54,6 +60,15 @@ class TestSimplify:
     def test_closed_keeps_square_corners(self):
         out = simplify_polyline(square(), 0.5)
         assert out.vertices.shape == (4, 2)
+
+    def test_closed_keeps_a_third_vertex(self):
+        """A unit square at epsilon 0.8 keeps its anchors, corners 0 and 2
+        (both other corners lie 0.71 from their chord), and corner 1, the
+        lower index of the tie."""
+        f = ContourFragment(0, np.array([[0., 0.], [1., 0.], [1., 1.],
+                                         [0., 1.]]), closed=True)
+        out = simplify_polyline(f, 0.8)
+        assert np.array_equal(out.vertices, f.vertices[[0, 1, 2]])
 
     def test_negative_epsilon(self):
         with pytest.raises(ValueError):
@@ -141,6 +156,20 @@ class TestMaskTracing:
         mask[4:6, 4:6] = False
         frags = trace_binary_mask(mask)
         assert len(frags) == 2
+
+    def test_checkerboard_corner_traces_two_loops(self):
+        """Two pixels that touch at a corner trace to two closed loops
+        through the shared corner, which decompose makes one point."""
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[1, 1] = mask[2, 2] = True
+        frags = trace_binary_mask(mask)
+        assert [f.vertices.shape for f in frags] == [(4, 2), (4, 2)]
+        assert all(f.closed for f in frags)
+        corners = [{tuple(v) for v in f.vertices.tolist()} for f in frags]
+        assert corners[0] & corners[1] == {(2.0, 2.0)}
+        elements = decompose(frags)
+        assert sum(e.kind == POINT for e in elements) == 7
+        assert sum(e.kind == SEGMENT for e in elements) == 8
 
     def test_uniform_masks_empty(self):
         assert trace_binary_mask(np.zeros((4, 4), dtype=bool)) == []

@@ -242,7 +242,7 @@ def _bare_points(points):
 
 
 def _candidate_pass(elements, rect, budget, monkeypatch):
-    monkeypatch.setattr(engine, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(engine.ElementSet, "TABLE_BUDGET", budget)
     eng = engine.Engine(elements, rect)
     valid = eng._valid_candidates()
     return valid, eng.stats["candidates"], eng.stats["discarded"]
@@ -257,16 +257,39 @@ def _candidate_pass(elements, rect, budget, monkeypatch):
                  id="three-points")])
 def test_streamed_candidates_match_one_block(scene, monkeypatch):
     """The candidate pass gives the same sorted valid list and the same
-    candidates/discarded totals whatever its pair budget: one slice of all
-    pairs, the default budget, slices of about 7 element rows (a ragged last
-    slice), and a budget of 1, which takes one element row per slice and one
+    candidates/discarded totals whatever the engine's budget, which also
+    sizes the table build under it: one slice of all pairs, the default
+    budget, slices of about 7 element rows (a ragged last slice), and a
+    budget of 1, which takes at most one element row per slice and one
     candidate per validation gather."""
     elements, rect = scene()
     n = len(elements)
     whole = _candidate_pass(elements, rect, n * n, monkeypatch)
     assert whole[0] and whole[1] == len(whole[0]) + whole[2]
-    for budget in (engine._PAIR_BUDGET, 7 * n, 1):
+    for budget in (engine.ElementSet.TABLE_BUDGET, 7 * n, 1):
         assert _candidate_pass(elements, rect, budget, monkeypatch) == whole
+
+
+@pytest.mark.parametrize("sizes, budget, most, blocks", [
+    pytest.param([], 5, None, [], id="empty"),
+    pytest.param([0, 0, 3, 0, 2, 0], 5, None, [(0, 6)], id="zeros-join"),
+    pytest.param([2, 9, 1, 1], 4, None, [(0, 1), (1, 2), (2, 4)],
+                 id="oversized-alone"),
+    pytest.param([1, 1, 1, 1, 1], 10, 2, [(0, 2), (2, 4), (4, 5)],
+                 id="most-caps"),
+    pytest.param([1, 3, 1, 0, 2], 1, None,
+                 [(0, 1), (1, 2), (2, 4), (4, 5)], id="budget-1")])
+def test_blocks_tile_the_items(sizes, budget, most, blocks):
+    """_blocks yields consecutive ranges that tile the items in order, each
+    of at least one item, at most most items, and sizes summing within
+    budget unless it is one item (zero sizes join a block)."""
+    got = list(engine._blocks(np.array(sizes, dtype=int), budget, most))
+    assert got == blocks
+    ends = [0] + [hi for _, hi in got]
+    assert [lo for lo, _ in got] == ends[:-1] and ends[-1] == len(sizes)
+    for lo, hi in got:
+        assert hi > lo and (most is None or hi - lo <= most)
+        assert sum(sizes[lo:hi]) <= budget or hi == lo + 1
 
 
 def test_root_cache_keeps_the_branch_hull():

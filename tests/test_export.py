@@ -53,6 +53,24 @@ class TestSgText:
             with pytest.raises(InvalidInputError):
                 parse_sgtext(bad)
 
+    @pytest.mark.parametrize("record, edit, message", [
+        pytest.param("shockgraph", lambda ln: ln.rsplit(" ", 1)[0],
+                     "malformed sgtext header", id="header-of-5-fields"),
+        pytest.param("n ", lambda ln: ln + " 0", "malformed node line",
+                     id="node-line-too-long"),
+        pytest.param("g ", lambda ln: "g 1", "malformed geometry line",
+                     id="geometry-line-of-2-fields"),
+        pytest.param("e ", lambda ln: "x" + ln[1:], "unknown sgtext record",
+                     id="unknown-record-letter")])
+    def test_parse_rejects_malformed_records(self, scene, record, edit,
+                                             message):
+        graph, _, _, _ = scene
+        lines = to_sgtext(graph, 100, 100, 1.0, 2.0).splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(record))
+        lines[k] = edit(lines[k])
+        with pytest.raises(InvalidInputError, match=message):
+            parse_sgtext("\n".join(lines) + "\n")
+
     def test_deterministic(self, scene):
         graph, _, _, _ = scene
         a = to_sgtext(graph, 100, 100, 1.0, 2.0)

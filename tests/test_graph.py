@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from shockgraph.bisectors import ParabolaBisector
 from shockgraph.errors import StructuralError
 from shockgraph.graph import (DEGENERATE, JUNCTION, REGULAR, SEMIDEGENERATE,
-                              SINK, SOURCE, ShockNode, classify_node,
+                              SINK, SOURCE, Piece, ShockNode, classify_node,
                               contact_samples, link_area)
 from shockgraph.scenes import random_scene, rectangle_fragment
 
@@ -27,6 +29,62 @@ class TestStructure:
             for lid, out in zip(nd.link_ids, nd.outgoing):
                 ln = graph.links[lid]
                 assert (ln.from_node if out else ln.to_node) == nd.id
+
+
+@pytest.fixture(scope="module")
+def pruned_random6():
+    frags, img = random_scene(6, 0)
+    graph, _, _, _ = build_scene(frags, img.xmax - img.xmin,
+                                 img.ymax - img.ymin, lam=1.0)
+    return graph
+
+
+def _reverse_rising_link(graph):
+    ln = max(graph.links, key=lambda ln: ln.radius_to - ln.radius_from)
+    ln.pieces = [Piece(p.bisector, p.t1, p.t0) for p in reversed(ln.pieces)]
+
+
+def _junction(graph):
+    """A degree-3 junction that no self-loop touches."""
+    return next(nd for nd in graph.nodes
+                if nd.label == JUNCTION and nd.degree == 3
+                and all(graph.links[lid].from_node != graph.links[lid].to_node
+                        for lid in nd.link_ids))
+
+
+def _cut_junction(graph):
+    nd = _junction(graph)
+    del nd.link_ids[-1], nd.outgoing[-1]
+
+
+def _empty_junction(graph):
+    nd = _junction(graph)
+    nd.link_ids, nd.outgoing, nd.label = [], [], ""
+
+
+def _past_the_nodes(graph):
+    graph.links[0].to_node = len(graph.nodes)
+
+
+def _bump_radius(graph):
+    _junction(graph).radius += 1.0
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_past_the_nodes, "dangling node reference", id="dangling"),
+    pytest.param(_reverse_rising_link, "time decreases along flow",
+                 id="time-decreases"),
+    pytest.param(_cut_junction, "junction with degree 2", id="junction-2"),
+    pytest.param(_bump_radius, "radius mismatch", id="radius-mismatch"),
+    pytest.param(_empty_junction, "isolated", id="isolated")])
+def test_validate_rejects_each_invariant(pruned_random6, corrupt, message):
+    """validate passes on the pruned graph and raises on a copy broken in
+    one invariant."""
+    pruned_random6.validate()
+    graph = copy.deepcopy(pruned_random6)
+    corrupt(graph)
+    with pytest.raises(StructuralError, match=message):
+        graph.validate()
 
 
 class TestLabels:
