@@ -16,7 +16,7 @@ from shockgraph.export import to_graphml, to_sgtext
 from shockgraph.geometry import COORD_LIMIT
 from shockgraph.graph import build_graph
 from shockgraph.regularize import augment_with_box, prune
-from shockgraph.scenes import LCG, random_scene
+from shockgraph.scenes import LCG, random_scene, square_fragment
 
 from perfbench.workloads import MASK_SHAPES, encode_p1
 
@@ -305,6 +305,75 @@ def test_traced_mask_sgtext_is_pinned(tmp_path, capsys, name, digest):
     assert code == cli.EXIT_OK
     data = (out / f"{name}.sg").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _scene_file(tmp_path, name):
+    """One pinned export scene written to tmp_path, with the CLI arguments
+    that run it: the 100-fragment benchmark scene, two seed-1 masks at the
+    CLI defaults, and a square and random_scene(12, 5) at lambda 0, where
+    the square keeps its degree-4 centre and the random scene its degree-1
+    leaves."""
+    if name in ("pentagon", "union3"):
+        rng = LCG(1)
+        mask = dict((n, build(rng)) for n, build in MASK_SHAPES)[name]
+        scene = tmp_path / f"{name}.pbm"
+        scene.write_bytes(encode_p1(mask))
+        return scene, []
+    frags, size, args = {
+        "hundred": (random_scene(100, 101, width=160.0, height=160.0)[0],
+                    160.0, ["--epsilon", "0"]),
+        "square": ([square_fragment()], 10.0,
+                   ["--lambda", "0", "--epsilon", "0"]),
+        "random12-5": (random_scene(12, 5)[0], 100.0,
+                       ["--lambda", "0", "--epsilon", "0"])}[name]
+    scene = tmp_path / f"{name}.scene"
+    scene.write_text(format_scene_text(size, size, frags))
+    return scene, args
+
+
+@pytest.mark.parametrize("name, digests", [
+    ("hundred", {
+        ".graphml": "7cdf38b86df1cdee77ec18dd4dddc1ac"
+                    "8360ca08c9f483ba5c446d46f057c2a0",
+        ".svg": "8b19d1f7111bb26134289c726aa6934d"
+                "9522d4850eae40ef2a34a6195f6b39f6"}),
+    ("pentagon", {
+        ".graphml": "19ef54bd0bca75a5810f04e880b20a93"
+                    "8f428bd021f25216e68d63d0f7770d57",
+        ".svg": "c4f2fd8ee0da62e32a284b012fb4a14b"
+                "88eac469ba984cc1c34fa5368e85ecdf"}),
+    ("union3", {
+        ".graphml": "3b80a180d7226bbcf96b3bb356b3688e"
+                    "fea4910180357dddf5c258fbad495ec5",
+        ".svg": "05a301204ce18555ad58dab94a0e1f20"
+                "06bb56f68a4bc5ddbfce71c346e3f693"}),
+    ("square", {
+        ".sg": "a7930e4b3a0eb0f18ba5095a58925f27"
+               "c4c59e1ff2038276712d9f31f6c4b36f",
+        ".graphml": "88aa00a3d8cb7bf881c6abb9e1f83068"
+                    "3af359391ba20be2423a0f650881536a",
+        ".svg": "962a9481bb7232edea557d50be070820"
+                "279d9b06e3ef29748a9f7fbaf0eb2e8f"}),
+    ("random12-5", {
+        ".sg": "8d777bb1cd7cd0dbf8b88829729a5bf2"
+               "b9fc628e8eb366dc9ea51f270e70f589",
+        ".graphml": "11b6f4486c6ee8f34c603423e5e12f03"
+                    "38ba7461993ff56c88fa3cadf5ce50c4",
+        ".svg": "6cea6198b7ef09ee9ea89ce7b1480d37"
+                "ee79832d6fe4097303429eb34b80fe8b"})])
+def test_export_bytes_are_pinned(tmp_path, capsys, name, digests):
+    """All three formats written by the CLI for five scenes have pinned
+    sha256s: the GraphML and SVG of scenes whose sgtext the tests above
+    pin, and every format of two scenes at lambda 0, whose graphs keep
+    the degree-4 nodes and degree-1 leaves that pruning removes."""
+    scene, args = _scene_file(tmp_path, name)
+    out = tmp_path / "out"
+    assert cli.main([str(scene), "-o", str(out), *args,
+                     "--format", "sgtext,graphml,svg"]) == cli.EXIT_OK
+    capsys.readouterr()
+    for suffix, digest in digests.items():
+        data = (out / (scene.stem + suffix)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
 def test_jobs_pool_writes_what_a_serial_run_writes(tmp_path, capsys):
