@@ -15,8 +15,7 @@ from .errors import (DegenerateInputError, FeatureOverflowError,
                      InvalidInputError, NonterminationError, ResolutionError,
                      ShockGraphError, StructuralError)
 from .export import parse_sgtext, to_graphml, to_sgtext, to_svg
-from .features import (FEATURE_LENGTH, edge_features, graph_features,
-                       node_features)
+from .features import FEATURE_LENGTH, graph_features
 from .graph import ShockGraph, ShockLink, ShockNode, build_graph
 from .regularize import augment_with_box, prune
 
@@ -28,7 +27,7 @@ __all__ = [
     "simplify_polyline", "resample_polyline", "trace_binary_mask",
     "decompose", "check_no_crossings", "parse_scene_text", "make_bisectors",
     "run", "build_graph", "augment_with_box", "prune",
-    "node_features", "edge_features", "graph_features",
+    "graph_features",
     "to_sgtext", "parse_sgtext", "to_graphml", "to_svg",
     "ShockGraphError", "InvalidInputError", "DegenerateInputError",
     "StructuralError", "NonterminationError", "FeatureOverflowError",

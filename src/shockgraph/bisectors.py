@@ -20,8 +20,13 @@ The propagation engine asks each bisector two more things in closed form:
 crossing_params, the parameters where a third element's wavefront arrives
 with the bisector's own (the squared deficit dist(p, e)^2 - r^2 is a
 quadratic in t for every kind), and param_near, the parameter of the point
-nearest a location.  The graph asks one: side_area, the area a link sweeps
-on one side.
+nearest a location.
+
+The graph evaluates the bisectors of all its links at once, through each
+kind's array forms (see Bisector.columns): points, tangents, radii, their
+arc-length derivatives, curvatures, contacts, the area swept on one side,
+and t_of_s.  They write the scalar formulas elementwise, so they give the
+same bits.
 """
 from __future__ import annotations
 
@@ -79,17 +84,11 @@ class Bisector:
     def point(self, t):
         raise NotImplementedError
 
-    def tangent(self, t):
-        raise NotImplementedError
-
     def radius(self, t):
         raise NotImplementedError
 
     def dradius(self, t):
         """dr/ds (per unit arc length) at parameter t."""
-        raise NotImplementedError
-
-    def curvature(self, t):
         raise NotImplementedError
 
     def contacts(self, t):
@@ -134,12 +133,6 @@ class Bisector:
         """Parameter of the radius minimum over [t_lo, t_hi]."""
         return min(max(0.0, self.t_lo), self.t_hi)
 
-    def side_area(self, t0, t1, side):
-        """Area between the curve from t0 to t1 and the contact locus of one
-        side (0 plus, 1 minus), closed by the end rays (closed form per
-        kind)."""
-        raise NotImplementedError
-
     def s_of_t(self, t):
         """Arc length at parameter t."""
         return t
@@ -170,6 +163,22 @@ class Bisector:
         return (f"{type(self).__name__}(gen+={self.gen_plus}, gen-={self.gen_minus}, "
                 f"dom=[{self.t_lo:.6g}, {self.t_hi:.6g}])")
 
+    # -- array forms --------------------------------------------------------
+    # columns(bisectors) lays out the parameters of bisectors of one kind as
+    # arrays, one row per bisector.  The static methods below read them as
+    # c[name], gathered to one row per entry of their parameter array t,
+    # and return one row per entry: points(c, t) and tangents(c, t) as
+    # (m, 2) arrays; radii, dradii (per unit arc length) and curvatures as
+    # (m,) arrays; contact_points(c, t, side) for side 0 (plus) or 1
+    # (minus); side_areas(c, t0, t1, side), the area between the curve from
+    # t0 to t1 and one side's contact locus, closed by the end rays; and
+    # params_at(c, s, group), t_of_s over groups of entries that each
+    # stop together, as one t_of_s call does.
+
+    @classmethod
+    def columns(cls, bisectors) -> dict:
+        raise NotImplementedError
+
 
 class _LineLike(Bisector):
     """Straight bisector: p(t) = origin + t * direction, t = arc length.
@@ -189,27 +198,65 @@ class _LineLike(Bisector):
         t = np.asarray(t, dtype=float)
         return self.origin + np.multiply.outer(t, self.direction)
 
-    def tangent(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(self.direction, t.shape + (2,)).copy() \
-            if t.ndim else self.direction
-
-    def curvature(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-
     def param_near(self, loc) -> float:
         o, w = self.origin, self.direction
         return (loc[0] - o[0]) * w[0] + (loc[1] - o[1]) * w[1]
 
-    def side_area(self, t0, t1, side):
+    # -- array forms (see Bisector.columns) ---------------------------------
+    _radius_params: tuple = ()  # the kind's radius parameters, by name
+
+    @classmethod
+    def columns(cls, bisectors) -> dict:
+        o = np.array([b.origin for b in bisectors]).reshape(-1, 2)
+        w = np.array([b.direction for b in bisectors]).reshape(-1, 2)
+        cols = {"ox": o[:, 0], "oy": o[:, 1], "wx": w[:, 0], "wy": w[:, 1]}
+        for k in (0, 1):
+            rows = np.array([_side_row(*b.sides[k])
+                             for b in bisectors]).reshape(-1, 5)
+            cols.update(zip((f"pt{k}", f"ax{k}", f"ay{k}", f"dx{k}", f"dy{k}"),
+                            rows.T))
+        for name in cls._radius_params:
+            cols[name] = np.array([getattr(b, name) for b in bisectors],
+                                  dtype=float)
+        return cols
+
+    @staticmethod
+    def points(c, t):
+        return np.stack([c["ox"] + t * c["wx"], c["oy"] + t * c["wy"]],
+                        axis=-1)
+
+    @staticmethod
+    def tangents(c, t):
+        return np.stack([c["wx"], c["wy"]], axis=-1)
+
+    @staticmethod
+    def curvatures(c, t):
+        return np.zeros_like(t)
+
+    @classmethod
+    def contact_points(cls, c, t, side):
+        """A point side touches at its point, a segment side at the foot of
+        points(t) (Bisector._foot)."""
+        ax, ay, dx, dy = (c[f"{k}{side}"] for k in ("ax", "ay", "dx", "dy"))
+        q = cls.points(c, t)
+        u = (q[:, 0] - ax) * dx + (q[:, 1] - ay) * dy
+        point = c[f"pt{side}"] > 0.0
+        return np.stack([np.where(point, ax, ax + u * dx),
+                         np.where(point, ay, ay + u * dy)], axis=-1)
+
+    @classmethod
+    def side_areas(cls, c, t0, t1, side):
         """The curve and a straight (or constant) contact locus bound the
         quadrilateral p0 p1 c1 c0: half the cross product of its
         diagonals."""
-        ts = np.array([t0, t1])
-        (p0x, p0y), (p1x, p1y) = self.point(ts)
-        (c0x, c0y), (c1x, c1y) = self.contacts(ts)[side]
-        return 0.5 * abs((c1x - p0x) * (c0y - p1y)
-                         - (c1y - p0y) * (c0x - p1x))
+        p0, p1 = cls.points(c, t0), cls.points(c, t1)
+        c0, c1 = cls.contact_points(c, t0, side), cls.contact_points(c, t1, side)
+        return 0.5 * np.abs((c1[:, 0] - p0[:, 0]) * (c0[:, 1] - p1[:, 1])
+                            - (c1[:, 1] - p0[:, 1]) * (c0[:, 0] - p1[:, 0]))
+
+    @staticmethod
+    def params_at(c, s, group):
+        return s
 
     def crossing_params(self, rows):
         pid, pcol, sid, scol = rows
@@ -271,6 +318,15 @@ def _point_side(p):
     return (float(p[0]), float(p[1])), None
 
 
+def _side_row(p, d):
+    """One side as a row of Bisector.columns: (1 if a point side, x, y,
+    dx, dy), its point or segment start and its unit direction (0 for a
+    point)."""
+    if d is None:
+        return 1.0, p[0], p[1], 0.0, 0.0
+    return 0.0, p[0], p[1], d[0], d[1]
+
+
 class PointPointBisector(_LineLike):
     """Perpendicular bisector line of two points; r(t) = hypot(half, t)."""
 
@@ -288,11 +344,21 @@ class PointPointBisector(_LineLike):
         self.sides = (_point_side(a), _point_side(b))
         self.gen_plus, self.gen_minus = id_a, id_b
 
+    _radius_params = ("half",)
+
     def radius(self, t):
         return np.hypot(self.half, t)
 
     def dradius(self, t):
         return np.asarray(t) / np.hypot(self.half, t)
+
+    @staticmethod
+    def radii(c, t):
+        return np.hypot(c["half"], t)
+
+    @staticmethod
+    def dradii(c, t):
+        return t / np.hypot(c["half"], t)
 
 
 class LinearRadiusLine(_LineLike):
@@ -306,11 +372,21 @@ class LinearRadiusLine(_LineLike):
         self.sides = sides
         self.gen_plus, self.gen_minus = gen_plus, gen_minus
 
+    _radius_params = ("slope",)
+
     def radius(self, t):
         return self.slope * np.abs(np.asarray(t, dtype=float))
 
     def dradius(self, t):
         return self.slope * np.sign(np.asarray(t, dtype=float))
+
+    @staticmethod
+    def radii(c, t):
+        return c["slope"] * np.abs(t)
+
+    @staticmethod
+    def dradii(c, t):
+        return c["slope"] * np.sign(t)
 
 
 class MidlineBisector(_LineLike):
@@ -332,6 +408,16 @@ class MidlineBisector(_LineLike):
 
     def argmin_radius(self):
         return 0.5 * (self.t_lo + self.t_hi)
+
+    _radius_params = ("r0",)
+
+    @staticmethod
+    def radii(c, t):
+        return c["r0"].copy()
+
+    @staticmethod
+    def dradii(c, t):
+        return np.zeros_like(t)
 
 
 class ParabolaBisector(Bisector):
@@ -360,30 +446,15 @@ class ParabolaBisector(Bisector):
         self.gen_plus, self.gen_minus = id_point, id_seg  # focus is left of +t
 
     # -- arc length <-> directrix coordinate -------------------------------
-    def _s_of_z(self, z):
-        return 0.5 * self.h * (z * np.sqrt(1.0 + z * z) + np.arcsinh(z))
-
     def s_of_t(self, xi):
-        return self._s_of_z(np.asarray(xi, dtype=float) / self.h)
+        return _arc_of_z(np.asarray(xi, dtype=float) / self.h, self.h)
 
     def t_of_s(self, s):
-        """Inverse of s_of_t by Newton's method on z = xi / h, elementwise
-        over an array of any shape."""
-        h = self.h
-        s_arr = np.asarray(s, dtype=float)
-        # initial guess: linear for small |s|, sqrt growth for large
-        z = np.where(np.abs(s_arr) < h,
-                     s_arr / h,
-                     np.sign(s_arr) * np.sqrt(np.maximum(2.0 * np.abs(s_arr) / h, 0.0)))
-        for _ in range(60):
-            f = self._s_of_z(z) - s_arr
-            df = h * np.sqrt(1.0 + z * z)
-            step = f / df
-            z = z - step
-            done = ~np.isfinite(step) | (np.abs(step) < 1e-15 * (1.0 + np.abs(z)))
-            if done.all():
-                break
-        return z * h
+        """Inverse of s_of_t (_xi_of_s), elementwise over an array of any
+        shape."""
+        s = np.asarray(s, dtype=float)
+        return _xi_of_s(s.ravel(), np.full(s.size, self.h),
+                        np.zeros(s.size, dtype=np.intp)).reshape(s.shape)
 
     # -- geometry in xi ----------------------------------------------------
     def _eta(self, xi):
@@ -400,22 +471,12 @@ class ParabolaBisector(Bisector):
                 + np.multiply.outer(xi, self.e1)
                 + np.multiply.outer(self._eta(xi), self.n))
 
-    def tangent(self, xi):
-        z = np.asarray(xi, dtype=float) / self.h
-        w = np.sqrt(1.0 + z * z)
-        return (np.multiply.outer(1.0 / w, self.e1)
-                + np.multiply.outer(z / w, self.n))
-
     def radius(self, xi):
         return self._eta(np.asarray(xi, dtype=float))
 
     def dradius(self, xi):
         z = np.asarray(xi, dtype=float) / self.h
         return z / np.sqrt(1.0 + z * z)
-
-    def curvature(self, xi):
-        z = np.asarray(xi, dtype=float) / self.h
-        return 1.0 / (self.h * np.power(1.0 + z * z, 1.5))
 
     def _foot(self, xi, a, d):
         """The directrix foot F + xi e1, exact: projecting point(xi) would
@@ -430,13 +491,66 @@ class ParabolaBisector(Bisector):
         return (loc[0] - self.F[0]) * self.e1[0] \
             + (loc[1] - self.F[1]) * self.e1[1]
 
-    def side_area(self, t0, t1, side):
+    # -- array forms (see Bisector.columns) ---------------------------------
+    @classmethod
+    def columns(cls, bisectors) -> dict:
+        vecs = np.array([(*b.F, *b.e1, *b.n, *b.sides[0][0], b.h)
+                         for b in bisectors]).reshape(-1, 9)
+        return dict(zip(("Fx", "Fy", "e1x", "e1y", "nx", "ny", "fx", "fy",
+                         "h"), vecs.T))
+
+    @staticmethod
+    def points(c, xi):
+        h = c["h"]
+        eta = (xi * xi + h * h) / (2.0 * h)
+        return np.stack([c["Fx"] + xi * c["e1x"] + eta * c["nx"],
+                         c["Fy"] + xi * c["e1y"] + eta * c["ny"]], axis=-1)
+
+    @staticmethod
+    def tangents(c, xi):
+        z = xi / c["h"]
+        w = np.sqrt(1.0 + z * z)
+        return np.stack([(1.0 / w) * c["e1x"] + (z / w) * c["nx"],
+                         (1.0 / w) * c["e1y"] + (z / w) * c["ny"]], axis=-1)
+
+    @staticmethod
+    def radii(c, xi):
+        h = c["h"]
+        return (xi * xi + h * h) / (2.0 * h)
+
+    @staticmethod
+    def dradii(c, xi):
+        z = xi / c["h"]
+        return z / np.sqrt(1.0 + z * z)
+
+    @staticmethod
+    def curvatures(c, xi):
+        z = xi / c["h"]
+        return 1.0 / (c["h"] * np.power(1.0 + z * z, 1.5))
+
+    @staticmethod
+    def contact_points(c, xi, side):
+        """The focus (plus), or the directrix foot F + xi e1 (_foot)."""
+        if side == 0:
+            return np.stack(np.broadcast_arrays(c["fx"], c["fy"]), axis=-1)
+        return np.stack([c["Fx"] + xi * c["e1x"], c["Fy"] + xi * c["e1y"]],
+                        axis=-1)
+
+    @staticmethod
+    def side_areas(c, t0, t1, side):
         """The directrix side's area is the integral of eta over xi; the
         focus side (plus) is a sector of half of it, since the cross product
-        (p - focus) x dp/dxi reduces to eta."""
-        h = self.h
-        integral = abs((t1 ** 3 - t0 ** 3) / (6.0 * h) + 0.5 * h * (t1 - t0))
+        (p - focus) x dp/dxi reduces to eta.  The cubes are Python's float
+        power: numpy's differs from it in the last bit."""
+        h = c["h"]
+        cube = [[v ** 3 for v in t.tolist()] for t in (t0, t1)]
+        integral = np.abs((np.array(cube[1]) - np.array(cube[0])) / (6.0 * h)
+                          + 0.5 * h * (t1 - t0))
         return 0.5 * integral if side == 0 else integral
+
+    @staticmethod
+    def params_at(c, s, group):
+        return _xi_of_s(s, c["h"], group)
 
     def crossing_params(self, rows):
         pid, pcol, sid, scol = rows
@@ -523,6 +637,35 @@ class ParabolaBisector(Bisector):
             if rect.contains(q, slack=1e-9):
                 inside.append((a, b))
         return inside
+
+
+def _arc_of_z(z, h):
+    """Parabola arc length from the vertex at z = xi / h."""
+    return 0.5 * h * (z * np.sqrt(1.0 + z * z) + np.arcsinh(z))
+
+
+def _xi_of_s(s, h, group):
+    """xi at arc lengths s of parabolas with focal distances h, by Newton's
+    method on z = xi / h, over 1-d arrays.  The entries of one group (one
+    t_of_s call) take the same steps: the group iterates until each of its
+    entries has converged, so an entry's bits do not depend on the other
+    groups."""
+    # initial guess: linear for small |s|, sqrt growth for large
+    z = np.where(np.abs(s) < h, s / h,
+                 np.sign(s) * np.sqrt(np.maximum(2.0 * np.abs(s) / h, 0.0)))
+    live = np.arange(len(s))
+    for _ in range(60 if len(s) else 0):
+        zl, hl = z[live], h[live]
+        step = (_arc_of_z(zl, hl) - s[live]) / (hl * np.sqrt(1.0 + zl * zl))
+        zl = zl - step
+        z[live] = zl
+        done = ~np.isfinite(step) | (np.abs(step) < 1e-15 * (1.0 + np.abs(zl)))
+        open_group = np.zeros(int(group.max()) + 1, dtype=bool)
+        open_group[group[live[~done]]] = True
+        live = live[open_group[group[live]]]
+        if not len(live):
+            break
+    return z * h
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,7 @@ def _fragment_subgraph(graph, box_ids):
     """Links not generated by the bounding box on either side, as an
     undirected adjacency, plus per-node (degree, inflow) counts."""
     links = [ln for ln in graph.links
-             if not (set(ln.boundary_plus.generators) & box_ids
-                     or set(ln.boundary_minus.generators) & box_ids)]
+             if not box_ids.intersection(ln.generators(0) + ln.generators(1))]
     deg: dict[int, int] = {}
     inflow: dict[int, int] = {}
     adj: dict[int, set] = {}

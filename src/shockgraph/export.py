@@ -84,10 +84,16 @@ def to_document(graph: ShockGraph, width: float, height: float,
         doc.nodes.append(SgNode(nd.id, nd.label, nd.location[0],
                                 nd.location[1], nd.radius, nf[nd.id]))
     metrics = np.delete(ef, 3, axis=1)  # label kept as string
+    points = graph.link_arrays.points(LINK_SAMPLES)
     for ln in graph.links:
         doc.links.append(SgLink(ln.id, ln.from_node, ln.to_node, ln.label,
-                                metrics[ln.id], ln.sample_points(LINK_SAMPLES)))
+                                metrics[ln.id], points[ln.id]))
     return doc
+
+
+def _join(values: np.ndarray) -> str:
+    """values written with _fmt, space-separated."""
+    return " ".join(map(repr, values.tolist()))
 
 
 def format_sgtext(doc: SgDocument) -> str:
@@ -96,13 +102,11 @@ def format_sgtext(doc: SgDocument) -> str:
     for n in doc.nodes:
         out.append("n %d %s %s %s %s %s" % (
             n.id, n.label, _fmt(n.x), _fmt(n.y), _fmt(n.r),
-            " ".join(_fmt(v) for v in n.features)))
+            _join(n.features)))
     for e in doc.links:
         out.append("e %d %d %d %s %s" % (
-            e.id, e.from_node, e.to_node, e.label,
-            " ".join(_fmt(v) for v in e.metrics)))
-        for x, y in e.geometry:
-            out.append("g %s %s" % (_fmt(x), _fmt(y)))
+            e.id, e.from_node, e.to_node, e.label, _join(e.metrics)))
+        out.extend("g %r %r" % (x, y) for x, y in e.geometry.tolist())
     return "\n".join(out) + "\n"
 
 
@@ -177,7 +181,7 @@ def format_graphml(doc: SgDocument) -> str:
         out.append('    <node id="n%d">' % n.id)
         out.append('      <data key="label">%s</data>' % _escape(n.label))
         out.append('      <data key="features">%s</data>'
-                   % " ".join(_fmt(v) for v in n.features))
+                   % _join(n.features))
         out.append('    </node>')
     for e in doc.links:
         out.append('    <edge id="e%d" source="n%d" target="n%d">'
@@ -186,8 +190,7 @@ def format_graphml(doc: SgDocument) -> str:
         vals = np.concatenate([e.metrics[:3],
                                [float(LINK_LABEL_CODES[e.label])],
                                e.metrics[3:]])
-        out.append('      <data key="efeatures">%s</data>'
-                   % " ".join(_fmt(v) for v in vals))
+        out.append('      <data key="efeatures">%s</data>' % _join(vals))
         out.append('    </edge>')
     out += ['  </graph>', '</graphml>']
     return "\n".join(out) + "\n"
@@ -229,9 +232,8 @@ def to_svg(graph: ShockGraph, elements: list[BoundaryElement],
             x, y = e.geometry
             out.append('<circle cx="%.6f" cy="%.6f" r="0.08" fill="%s"/>'
                        % (x, y, color))
-    for ln in graph.links:
-        out.append(_polyline(ln.sample_points(LINK_SAMPLES),
-                             COLOR_SHOCK, "0.12"))
+    for points in graph.link_arrays.points(LINK_SAMPLES):
+        out.append(_polyline(points.tolist(), COLOR_SHOCK, "0.12"))
     out.append('</svg>')
     return "\n".join(out) + "\n"
 

@@ -10,14 +10,16 @@ incident link:
 
 theta_i is the direction in which link i leaves the node, phi_i the object
 angle between that direction and the contact rays, and bp_i the plus-side
-contact point with its boundary tangent angle.  node_features computes them
-here, from each incident link end (ShockLink.end), and visits the ends in
-increasing theta, ties broken by link id.  The degree-2 node block is truncated
-to 12 entries so the degree-2 prefix is exactly 28; degree-1 leaves are
-padded as degree 2 with an all-zero second block.
+contact point with its boundary tangent angle (graph.LinkArrays.ends).  A
+node visits its link ends in increasing theta, ties broken by link id.  The
+degree-2 node block is truncated to 12 entries so the degree-2 prefix is
+exactly 28; degree-1 leaves are padded as degree 2 with an all-zero second
+block.  k_B+ and k_B-, the mean boundary curvature on each side, are
+identically 0 for point/segment scenes.
 
-graph_features builds both matrices of a graph: each link's edge vector
-once, and each node's vector from the rows of its incident links.
+graph_features builds both matrices of a graph from its link arrays: each
+link's edge row once, and each node's vector from the rows of its incident
+links.
 """
 from __future__ import annotations
 
@@ -26,28 +28,13 @@ import math
 import numpy as np
 
 from .errors import FeatureOverflowError
-from .graph import (LINK_LABEL_CODES, NODE_LABEL_CODES, ShockGraph, ShockLink,
-                    ShockNode)
+from .graph import LINK_LABEL_CODES, NODE_LABEL_CODES, ShockGraph
 
 FEATURE_LENGTH = 58
 
 # node-block entry counts per padded degree (4 + 5*d, degree 2 clamped)
 _NODE_BLOCK = {2: 12, 3: 19, 4: 24}
 PREFIX_LENGTH = {d: _NODE_BLOCK[d] + 8 * d for d in _NODE_BLOCK}  # 28/43/56
-
-
-def edge_features(link: ShockLink) -> np.ndarray:
-    """8-entry edge block of a link (see module docstring)."""
-    return np.array([
-        link.length,
-        link.curvature,
-        link.area,
-        float(LINK_LABEL_CODES[link.label]),
-        link.boundary_plus.arc_length,
-        link.boundary_plus.curvature,
-        link.boundary_minus.arc_length,
-        link.boundary_minus.curvature,
-    ])
 
 
 def _boundary_tangent(elements: list, gid: int) -> float:
@@ -60,65 +47,54 @@ def _boundary_tangent(elements: list, gid: int) -> float:
     return math.atan2(by - ay, bx - ax)
 
 
-def node_features(node: ShockNode, graph: ShockGraph,
-                  ef: np.ndarray) -> np.ndarray:
-    """58-entry feature vector of a node in its graph (see module docstring).
-    ef is the graph's edge feature matrix, one row per link id, as
-    graph_features builds it.
-
-    Raises FeatureOverflowError above degree 4: the fixed layout has no slot
-    for a fifth incident link.
-    """
-    d = node.degree
-    if d > 4:
-        raise FeatureOverflowError(
-            f"node {node.id}: degree {d} exceeds the feature layout maximum 4")
-    if d == 0:
-        vec = np.zeros(FEATURE_LENGTH)
-        vec[0], vec[1] = node.location
-        vec[2] = node.radius
-        vec[3] = float(NODE_LABEL_CODES[node.label])
-        return vec
-    padded = max(d, 2)  # degree-1 leaves carry one all-zero block
-
-    thetas = np.zeros(padded)
-    phis = np.zeros(padded)
-    bps = np.zeros((padded, 3))
-    edges = np.zeros((padded, 8))
-    ends = []
-    for lid, out in zip(node.link_ids, node.outgoing):
-        end = graph.links[lid].end(out)
-        away = end.tangent()
-        ends.append((math.atan2(away[1], away[0]), lid, end))
-    ends.sort(key=lambda e: e[:2])
-    for i, (theta, lid, end) in enumerate(ends):
-        thetas[i] = theta
-        # contact rays make angle phi with the away-tangent:
-        # dot(away, ray) = -dr/ds measured away from the node
-        phis[i] = math.acos(min(1.0, max(-1.0, -end.dradius())))
-        bx, by = end.contacts()[0]
-        gen_plus = end.piece.side_generators()[0]
-        bps[i] = (bx, by, _boundary_tangent(graph.elements, gen_plus))
-        edges[i] = ef[lid]
-
-    block = np.concatenate([
-        [node.location[0], node.location[1], node.radius,
-         float(NODE_LABEL_CODES[node.label])],
-        thetas, phis, bps.ravel(),
-    ])[:_NODE_BLOCK[padded]]
-    vec = np.zeros(FEATURE_LENGTH)
-    prefix = np.concatenate([block, edges.ravel()])
-    vec[:len(prefix)] = prefix
-    return vec
-
-
 def graph_features(graph: ShockGraph):
-    """(node feature matrix, edge feature matrix) for a whole graph.  Each
-    link's edge vector is built once, and the node vectors read its row."""
-    ef = np.zeros((len(graph.links), 8))
-    for ln in graph.links:
-        ef[ln.id] = edge_features(ln)
-    nf = np.zeros((len(graph.nodes), FEATURE_LENGTH))
+    """(node feature matrix, edge feature matrix) for a whole graph (see
+    module docstring).
+
+    Raises FeatureOverflowError, before any attribute is computed, on a
+    node above degree 4: the fixed layout has no slot for a fifth incident
+    link.
+    """
     for nd in graph.nodes:
-        nf[nd.id] = node_features(nd, graph, ef)
+        if nd.degree > 4:
+            raise FeatureOverflowError(
+                f"node {nd.id}: degree {nd.degree} exceeds the feature "
+                f"layout maximum 4")
+    arrays = graph.link_arrays
+    ef = np.zeros((len(graph.links), 8))
+    ef[:, 0] = [ln.length for ln in graph.links]
+    ef[:, 1] = arrays.curvature
+    ef[:, 2] = arrays.area
+    ef[:, 3] = [LINK_LABEL_CODES[ln.label] for ln in graph.links]
+    ef[:, [4, 6]] = arrays.boundary_length
+
+    nf = np.zeros((len(graph.nodes), FEATURE_LENGTH))
+    nf[:, :4] = np.array([(*nd.location, nd.radius,
+                           NODE_LABEL_CODES[nd.label])
+                          for nd in graph.nodes]).reshape(-1, 4)
+    # every link end, node-major: node, link, end column (0 from, 1 to)
+    ends = [(nd.id, lid, 0 if out else 1) for nd in graph.nodes
+            for lid, out in zip(nd.link_ids, nd.outgoing)]
+    if not ends:
+        return nf, ef
+    node, link, col = np.array(ends, dtype=np.intp).T
+    theta, phi, bx, by, gen = (v[link, col] for v in arrays.ends)
+    order = np.lexsort((link, theta, node))
+    node, link, theta, phi, bx, by, gen = (
+        v[order] for v in (node, link, theta, phi, bx, by, gen))
+    starts = np.searchsorted(node, node)       # first end of each end's node
+    i = np.arange(len(node)) - starts          # rank at its node
+    degree = np.array([nd.degree for nd in graph.nodes])[node]
+    pad = np.maximum(degree, 2)
+    block = np.array([_NODE_BLOCK.get(d, 0) for d in range(5)])[pad]
+    tangents = {g: _boundary_tangent(graph.elements, g)
+                for g in set(gen.tolist())}
+    vals = np.stack([theta, phi, bx, by,
+                     [tangents[g] for g in gen.tolist()]], axis=1)
+    bp = 4 + 2 * pad + 3 * i
+    cols = np.stack([4 + i, 4 + pad + i, bp, bp + 1, bp + 2], axis=1)
+    keep = cols < block[:, None]
+    nf[np.broadcast_to(node[:, None], cols.shape)[keep], cols[keep]] = \
+        vals[keep]
+    nf[node[:, None], (block + 8 * i)[:, None] + np.arange(8)] = ef[link]
     return nf, ef

@@ -10,13 +10,12 @@ not depend on how densely a contour was sampled. assemble() is the one place
 that does this, for the raw graph (build_graph) and after pruning (prune).
 
 Nodes carry topology only: location, radius, label and their incident link
-ends. The per-link node descriptor (the direction a link leaves in, the
+ends.  Link arc length and label are set at assembly.  Every other link
+attribute -- samples, curvature, swept area, per-side boundary lengths, and
+the node descriptor at each link end (the direction the link leaves in, the
 object angle phi between it and the contact rays, and the plus-side contact
-point) is computed by features.node_features from each link end (see
-ShockLink.end). Link attributes (arc length, curvature samples, swept area,
-per-side boundary summaries) are computed analytically from the underlying
-bisectors. Link arc length and label are set at assembly; the other link
-attributes are computed on first read (see ShockLink).
+point) -- is computed analytically from the underlying bisectors, for all
+links of a graph at once, by LinkArrays (ShockGraph.link_arrays).
 """
 from __future__ import annotations
 
@@ -97,33 +96,21 @@ class LinkEnd(NamedTuple):
     t: float
     step: float
 
-    def tangent(self) -> np.ndarray:
-        """Unit tangent pointing away from the node."""
-        return self.step * np.asarray(self.piece.bisector.tangent(self.t),
-                                      dtype=float)
-
     def dradius(self) -> float:
         """dr per unit arc length moving away from the node.
 
         Evaluated a hair inside the link, an offset in t: r has a corner
         (|t|) at branch apexes, where the one-sided derivative into the link
-        is the right limit, not the two-sided 0."""
-        eps = 1e-9 + 1e-7 * self.piece.length
+        is the right limit, not the two-sided 0 (LinkArrays.ends takes the
+        same offset)."""
         return self.step * float(
-            self.piece.bisector.dradius(self.t + self.step * eps))
-
-    def contacts(self) -> tuple:
-        """(bp_plus, bp_minus) at the node, sides relative to the flow."""
-        return self.piece.contacts(self.t)
+            self.piece.bisector.dradius(self.t + self.step * _end_eps(
+                self.piece.length)))
 
 
-@dataclass
-class BoundaryRef:
-    """Per-side contact summary: which generators, contact-locus arc length,
-    and mean boundary curvature (identically 0 for point/segment scenes)."""
-    generators: tuple
-    arc_length: float
-    curvature: float = 0.0
+def _end_eps(length):
+    """The offset in t from a link end to where its dr/ds is taken."""
+    return 1e-9 + 1e-7 * length
 
 
 @dataclass
@@ -131,11 +118,11 @@ class ShockLink:
     """A composite shock curve between two graph nodes.
 
     length and label are set when the link is assembled (validation,
-    pruning and classification read them). The geometric attributes --
-    curvature samples and their mean, swept area and the per-side boundary
-    refs -- are computed from the pieces on first read and cached, so links
-    that pruning replaces never pay for them. pieces is never mutated after
-    construction.
+    pruning and classification read them).  The geometric attributes --
+    samples, curvature, swept area, boundary lengths, the node descriptor
+    at each end -- are computed for all links of a graph at once
+    (ShockGraph.link_arrays); the per-link accessors below evaluate the
+    same arrays for one link.  pieces is never mutated after construction.
     """
     id: int
     from_node: int
@@ -144,90 +131,22 @@ class ShockLink:
     label: str = ""
     length: float = 0.0
 
-    # -- derived attributes, computed on first read and cached --------------
-
-    @cached_property
-    def curvature_samples(self) -> np.ndarray:
-        """Signed curvature at the LINK_SAMPLES uniform arc-length samples,
-        oriented along the flow direction."""
-        if self.length <= 0.0:
-            return np.zeros(LINK_SAMPLES)
-        return self._sampled(LINK_SAMPLES, lambda p, ts:
-                             p.direction * p.bisector.curvature(ts))
-
-    @cached_property
-    def curvature(self) -> float:
-        """Mean of the curvature samples."""
-        return float(np.mean(self.curvature_samples))
-
-    @cached_property
-    def area(self) -> float:
-        return link_area(self)
-
-    @cached_property
-    def _boundary_pair(self) -> tuple:
-        refs = _boundary_refs(self)
-        if self.length <= 0.0:
-            for ref in refs:
-                ref.arc_length = 0.0
-        return refs
-
-    @property
-    def boundary_plus(self) -> BoundaryRef:
-        return self._boundary_pair[0]
-
-    @property
-    def boundary_minus(self) -> BoundaryRef:
-        return self._boundary_pair[1]
-
-    # -- geometry sampling --------------------------------------------------
-
-    @cached_property
-    def _cum_lengths(self) -> np.ndarray:
-        return np.concatenate(
-            [[0.0], np.cumsum([p.length for p in self.pieces])])
+    def generators(self, side: int) -> tuple:
+        """Generator ids of one flow-relative side (0 plus, 1 minus), in
+        flow order, each once."""
+        return tuple(dict.fromkeys(p.side_generators()[side]
+                                   for p in self.pieces))
 
     def piece_params(self, us: np.ndarray):
         """(piece index array, t array) at arc lengths us from the start."""
-        cum = self._cum_lengths
-        idx = np.clip(np.searchsorted(cum, us, side="right") - 1,
-                      0, len(self.pieces) - 1)
-        ts = np.empty(len(us))
-        for i in np.unique(idx):
-            p = self.pieces[i]
-            m = idx == i
-            ts[m] = p.bisector.t_of_s(p.s0 + p.direction * (us[m] - cum[i]))
-        return idx, ts
-
-    @cached_property
-    def _grid(self) -> tuple:
-        """piece_params at the LINK_SAMPLES uniform arc-length samples,
-        shared by the curvature samples and the exported geometry."""
-        return self.piece_params(np.linspace(0.0, self.length, LINK_SAMPLES))
-
-    def _sampled(self, n: int, fn, shape=()) -> np.ndarray:
-        """fn(piece, t array) at n points uniformly spaced in arc length
-        over the link, as an (n, *shape) array."""
-        idx, ts = (self._grid if n == LINK_SAMPLES else
-                   self.piece_params(np.linspace(0.0, self.length, n)))
-        out = np.empty((n,) + shape)
-        for i in np.unique(idx):
-            m = idx == i
-            out[m] = fn(self.pieces[i], ts[m])
-        return out
+        return LinkArrays([self]).params(np.asarray(us, dtype=float)[None])
 
     def sample_points(self, n: int) -> np.ndarray:
         """(n, 2) points uniformly spaced in arc length over the link."""
-        return self._sampled(n, lambda p, ts: p.bisector.point(ts), (2,))
+        return LinkArrays([self]).points(n)[0]
 
     def sample_radii(self, n: int) -> np.ndarray:
-        return self._sampled(n, lambda p, ts: p.bisector.radius(ts))
-
-    def sample_contacts(self, n: int):
-        """(bp_plus, bp_minus) arrays of shape (n, 2), flow-oriented sides."""
-        out = self._sampled(
-            n, lambda p, ts: np.stack(p.contacts(ts), axis=1), (2, 2))
-        return out[:, 0], out[:, 1]
+        return LinkArrays([self]).radii(n)[0]
 
     @property
     def radius_from(self) -> float:
@@ -247,6 +166,225 @@ class ShockLink:
             return LinkEnd(p, p.t0, p.direction)
         p = self.pieces[-1]
         return LinkEnd(p, p.t1, -p.direction)
+
+
+class LinkArrays:
+    """The attributes of many links, each computed for all of them at once.
+
+    The links' pieces are laid out flat, in link order and in flow order
+    within a link, and every quantity is one call of a bisector array form
+    per kind (Bisector.columns).  Each value has the bits that evaluating
+    its link alone gives: the array forms write the scalar formulas
+    elementwise, t_of_s iterates each piece's samples as one group, a
+    link's sums over its pieces run left to right in Python, and the
+    angles and chord lengths are math.atan2, math.acos and math.hypot,
+    whose last bits their numpy twins do not share.
+    """
+
+    def __init__(self, links):
+        self.links = links
+        pieces, rows, starts, gen_plus = [], [], [], []
+        self.first = [0]          # piece range of link j: first[j]:first[j+1]
+        kinds: dict = {}
+        for ln in links:
+            acc = 0.0             # arc length at the piece's start
+            for p in ln.pieces:
+                kinds.setdefault(type(p.bisector), []).append(len(rows))
+                pieces.append(p)
+                rows.append((p.t0, p.t1, p.s0, p.length, p.direction))
+                gen_plus.append(p.side_generators()[0])
+                starts.append(acc)
+                acc += p.length
+            self.first.append(len(rows))
+        self.t0, self.t1, self.s0, self.plen, self.direction = \
+            np.array(rows, dtype=float).reshape(-1, 5).T
+        self.start = np.array(starts)
+        self.gen_plus = np.array(gen_plus, dtype=np.intp)
+        self.length = np.array([ln.length for ln in links], dtype=float)
+        self._kind = np.zeros(len(rows), dtype=np.intp)
+        self._row = np.zeros(len(rows), dtype=np.intp)
+        self._kinds = []
+        for k, (cls, idx) in enumerate(kinds.items()):
+            self._kind[idx] = k
+            self._row[idx] = np.arange(len(idx))
+            self._kinds.append(
+                (cls, cls.columns([pieces[i].bisector for i in idx])))
+
+    # -- evaluation ---------------------------------------------------------
+
+    def _eval(self, form: str, piece, *ts, **kw) -> np.ndarray:
+        """The array form named form of each entry's bisector, at the
+        entry's values of ts (arrays parallel to piece)."""
+        out = None
+        kind = self._kind[piece]
+        for k, (cls, cols) in enumerate(self._kinds):
+            m = kind == k
+            if not m.any():
+                continue
+            rows = self._row[piece[m]]
+            val = getattr(cls, form)({name: col[rows] for name, col
+                                      in cols.items()},
+                                     *(t[m] for t in ts), **kw)
+            if out is None:
+                out = np.empty((len(piece),) + val.shape[1:])
+            out[m] = val
+        return np.empty(0) if out is None else out
+
+    def _contacts(self, piece, t) -> tuple:
+        """(bp_plus, bp_minus) (m, 2) arrays, sides relative to the flow."""
+        c0, c1 = (self._eval("contact_points", piece, t, side=s)
+                  .reshape(-1, 2) for s in (0, 1))
+        fwd = (self.direction[piece] > 0)[:, None]
+        return np.where(fwd, c0, c1), np.where(fwd, c1, c0)
+
+    def _per_link(self, values: list, width: int = 1) -> list:
+        """Each link's sum of values, width entries per piece, left to
+        right."""
+        f = self.first
+        return [sum(values[width * f[j]:width * f[j + 1]])
+                for j in range(len(self.links))]
+
+    # -- samples ------------------------------------------------------------
+
+    def params(self, us: np.ndarray) -> tuple:
+        """(piece, t) flat arrays, link-major, at the arc lengths us, an
+        (links, n) array measured from each link's start.  A sample lies on
+        the last piece that starts at or before it."""
+        u = us.ravel()
+        npc = len(self.start)
+        # the pieces of a link and its samples, merged by arc length with
+        # pieces first on ties: a sample's piece is the last piece before it
+        ids = np.arange(len(self.links))
+        link = np.concatenate([np.repeat(ids, np.diff(self.first)),
+                               np.repeat(ids, us.shape[1])])
+        is_u = np.concatenate([np.zeros(npc, dtype=bool),
+                               np.ones(len(u), dtype=bool)])
+        order = np.lexsort((is_u, np.concatenate([self.start, u]), link))
+        seen = np.cumsum(~is_u[order])
+        sample = is_u[order]
+        piece = np.empty(len(u), dtype=np.intp)
+        piece[order[sample] - npc] = seen[sample] - 1
+        s = self.s0[piece] + self.direction[piece] * (u - self.start[piece])
+        return piece, self._eval("params_at", piece, s, piece)
+
+    def samples(self, n: int) -> tuple:
+        """params at n samples per link uniformly spaced in arc length,
+        np.linspace(0, length, n) on every link."""
+        if n == LINK_SAMPLES:
+            return self._grid
+        return self.params(_linspace(self.length, n))
+
+    @cached_property
+    def _grid(self) -> tuple:
+        return self.params(_linspace(self.length, LINK_SAMPLES))
+
+    def points(self, n: int = LINK_SAMPLES) -> np.ndarray:
+        """(links, n, 2) points at the samples."""
+        piece, ts = self.samples(n)
+        return self._eval("points", piece, ts).reshape(-1, n, 2)
+
+    def radii(self, n: int) -> np.ndarray:
+        """(links, n) radii at the samples."""
+        piece, ts = self.samples(n)
+        return self._eval("radii", piece, ts).reshape(-1, n)
+
+    def contacts(self, n: int) -> np.ndarray:
+        """(links, 2, n, 2) plus- and minus-side contact points at the
+        samples."""
+        piece, ts = self.samples(n)
+        plus, minus = self._contacts(piece, ts)
+        return np.stack([plus.reshape(-1, n, 2), minus.reshape(-1, n, 2)],
+                        axis=1)
+
+    # -- edge attributes ----------------------------------------------------
+
+    @cached_property
+    def curvature_samples(self) -> np.ndarray:
+        """(links, LINK_SAMPLES) signed curvature at the samples, oriented
+        along the flow (a straight piece run in -t gives -0.0); 0 on a
+        zero-length link."""
+        piece, ts = self._grid
+        kappa = (self.direction[piece] * self._eval("curvatures", piece, ts)
+                 ).reshape(-1, LINK_SAMPLES)
+        kappa[self.length <= 0.0] = 0.0
+        return kappa
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """Mean of each link's curvature samples."""
+        return np.mean(self.curvature_samples, axis=1)
+
+    @cached_property
+    def area(self) -> list:
+        """Area of the region bounded by each link, its two contact loci and
+        the end rays (the region the wavefront sweeps while tracing it):
+        over its pieces, the area between the piece and each side's contact
+        locus (Bisector.side_areas), 0 for a zero-length piece."""
+        piece = np.arange(len(self.start))
+        a0, a1 = (self._eval("side_areas", piece, self.t0, self.t1, side=s)
+                  for s in (0, 1))
+        fwd = self.direction > 0
+        sides = np.stack([np.where(fwd, a0, a1), np.where(fwd, a1, a0)],
+                         axis=1)
+        sides[self.plen <= 0.0] = 0.0
+        return self._per_link(sides.ravel().tolist(), width=2)
+
+    @cached_property
+    def boundary_length(self) -> np.ndarray:
+        """(links, 2) contact-locus arc length on each flow-relative side.
+        Contact loci of point and segment generators are constant or
+        straight per piece, so the end-to-end chord per piece is exact;
+        0 on a zero-length link."""
+        piece = np.arange(len(self.start))
+        out = np.zeros((len(self.links), 2))
+        for side, (c0, c1) in enumerate(zip(self._contacts(piece, self.t0),
+                                            self._contacts(piece, self.t1))):
+            d = c1 - c0
+            out[:, side] = self._per_link(list(map(
+                math.hypot, d[:, 0].tolist(), d[:, 1].tolist())))
+        out[self.length <= 0.0] = 0.0
+        return out
+
+    # -- node descriptor ----------------------------------------------------
+
+    @cached_property
+    def ends(self) -> tuple:
+        """The node descriptor of each link end: (theta, phi, bx, by, gen),
+        (links, 2) arrays with column 0 at the from node and 1 at the to
+        node.  theta is the direction the link leaves the node in, phi the
+        object angle between it and the contact rays, (bx, by) the
+        plus-side contact point and gen its generator."""
+        first = np.array(self.first[:-1], dtype=np.intp)
+        last = np.array(self.first[1:], dtype=np.intp) - 1
+        piece = np.stack([first, last], axis=1).ravel()
+        t = np.stack([self.t0[first], self.t1[last]], axis=1).ravel()
+        step = np.stack([self.direction[first], -self.direction[last]],
+                        axis=1).ravel()
+        away = step[:, None] * self._eval("tangents", piece, t).reshape(-1, 2)
+        theta = list(map(math.atan2, away[:, 1].tolist(),
+                         away[:, 0].tolist()))
+        # contact rays make angle phi with the away-tangent:
+        # dot(away, ray) = -dr/ds measured away from the node
+        dr = step * self._eval("dradii", piece,
+                               t + step * _end_eps(self.plen[piece]))
+        phi = [math.acos(min(1.0, max(-1.0, -v))) for v in dr.tolist()]
+        bp = self._contacts(piece, t)[0]
+        return tuple(np.asarray(v, dtype=float).reshape(-1, 2) for v in
+                     (theta, phi, bp[:, 0], bp[:, 1])) + (
+                         self.gen_plus[piece].reshape(-1, 2),)
+
+
+def _linspace(lengths: np.ndarray, n: int) -> np.ndarray:
+    """np.linspace(0.0, length, n) for each length, one row each."""
+    y = np.arange(n, dtype=float)
+    if n < 2:
+        return np.zeros((len(lengths), n))
+    step = lengths / (n - 1)
+    us = y * step[:, None]
+    tiny = step == 0.0  # numpy's path for a zero or denormal step
+    us[tiny] = (y / (n - 1)) * lengths[tiny, None]
+    us[:, -1] = lengths
+    return us
 
 
 @dataclass
@@ -272,6 +410,11 @@ class ShockGraph:
     scene: tuple = None    # (width, height) of the image
     stats: dict = field(default_factory=dict)
     elements: list = field(default_factory=list)  # ids are list positions
+
+    @cached_property
+    def link_arrays(self) -> LinkArrays:
+        """The attributes of every link, computed together on first read."""
+        return LinkArrays(self.links)
 
     def validate(self) -> None:
         """Raise StructuralError on any violated graph invariant.
@@ -342,45 +485,6 @@ def classify_link(link: ShockLink, is_point: dict) -> str:
     gp, gm = piece.side_generators()
     n_pts = int(bool(is_point.get(gp))) + int(bool(is_point.get(gm)))
     return (REGULAR, SEMIDEGENERATE, DEGENERATE)[n_pts]
-
-
-# ---------------------------------------------------------------------------
-# Link attribute computation
-# ---------------------------------------------------------------------------
-
-def _piece_side_area(piece: Piece, side: int) -> float:
-    """Area between the piece and one flow-relative side's contact locus,
-    closed by the end rays (Bisector.side_area)."""
-    if piece.length <= 0.0:
-        return 0.0
-    return piece.bisector.side_area(
-        piece.t0, piece.t1, side if piece.direction > 0 else 1 - side)
-
-
-def link_area(link: ShockLink) -> float:
-    """Area of the region bounded by the link, its two contact loci, and the
-    end rays (the region swept by the wavefront while tracing the link)."""
-    return sum(_piece_side_area(p, side)
-               for p in link.pieces for side in (0, 1))
-
-
-def _boundary_refs(link: ShockLink) -> tuple[BoundaryRef, BoundaryRef]:
-    """Per-side generator ids and contact-locus arc length. Contact loci of
-    point and segment generators are constant or straight per piece, so the
-    end-to-end chord per piece is exact."""
-    refs = []
-    for side in (0, 1):
-        gens = []
-        arclen = 0.0
-        for p in link.pieces:
-            gid = p.side_generators()[side]
-            if gid not in gens:
-                gens.append(gid)
-            c0 = p.contacts(p.t0)[side]
-            c1 = p.contacts(p.t1)[side]
-            arclen += math.hypot(c1[0] - c0[0], c1[1] - c0[1])
-        refs.append(BoundaryRef(tuple(gens), arclen, 0.0))
-    return refs[0], refs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +594,14 @@ def build_graph(raw, elements: list[BoundaryElement],
     return graph
 
 
+def link_area(link: ShockLink) -> float:
+    """Area swept by one link (LinkArrays.area)."""
+    return LinkArrays([link]).area[0]
+
+
 def contact_samples(graph: ShockGraph, per_link: int = 24) -> np.ndarray:
     """Union of contact-point samples over all links: the reconstruction of
-    the boundary encoded by the shock graph. Returns an (m, 2) array."""
-    pts = []
-    for ln in graph.links:
-        n = max(2, per_link)
-        bp, bm = ln.sample_contacts(n)
-        pts.append(bp)
-        pts.append(bm)
-    if not pts:
-        return np.empty((0, 2))
-    return np.vstack(pts)
+    the boundary encoded by the shock graph. Returns an (m, 2) array, each
+    link's plus side, then its minus side."""
+    n = max(2, per_link)
+    return LinkArrays(graph.links).contacts(n).reshape(-1, 2)

@@ -126,10 +126,8 @@ def _leaf_links(graph: ShockGraph, lam: float) -> dict:
 def _is_box_side(link: ShockLink, box_elem_ids: set) -> bool:
     """True when either contact side of the link is generated entirely by
     bounding-box elements."""
-    for ref in (link.boundary_plus, link.boundary_minus):
-        if ref.generators and all(g in box_elem_ids for g in ref.generators):
-            return True
-    return False
+    return any(all(g in box_elem_ids for g in link.generators(side))
+               for side in (0, 1))
 
 
 def _without(graph: ShockGraph, doomed: dict, elements) -> ShockGraph:

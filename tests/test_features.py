@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from shockgraph import features
+from shockgraph import graph as graph_module
 from shockgraph.errors import FeatureOverflowError
-from shockgraph.features import (FEATURE_LENGTH, PREFIX_LENGTH, edge_features,
-                                 graph_features, node_features)
-from shockgraph.graph import NODE_LABEL_CODES, ShockNode
+from shockgraph.export import to_document
+from shockgraph.features import FEATURE_LENGTH, PREFIX_LENGTH, graph_features
+from shockgraph.graph import NODE_LABEL_CODES
 from shockgraph.scenes import random_scene, square_fragment
 
 from conftest import build_scene
@@ -37,26 +39,34 @@ class TestNodeVectors:
             assert v[2] == nd.radius
             assert v[3] == NODE_LABEL_CODES[nd.label]
 
-    def test_overflow_above_degree_four(self):
-        nd = ShockNode(0, (0.0, 0.0), 1.0, label="Junction",
-                       link_ids=[0, 1, 2, 3, 4],
-                       outgoing=[True] * 5)
-        with pytest.raises(FeatureOverflowError):
-            node_features(nd, None, None)
+    def test_overflow_above_degree_four(self, scene, monkeypatch):
+        """A node above degree 4 raises before any link is evaluated."""
+        graph, _, _, _ = scene
+        nodes = [dataclasses.replace(nd, link_ids=list(nd.link_ids),
+                                     outgoing=list(nd.outgoing))
+                 for nd in graph.nodes]
+        nd = next(nd for nd in nodes if nd.degree == 3)
+        nd.link_ids += nd.link_ids[:2]
+        nd.outgoing += nd.outgoing[:2]
+        evaluated = []
+        monkeypatch.setattr(graph_module, "LinkArrays", evaluated.append)
+        with pytest.raises(FeatureOverflowError,
+                           match=f"node {nd.id}: degree 5"):
+            graph_features(dataclasses.replace(graph, nodes=nodes))
+        assert evaluated == []
 
 
 class TestEdgeVectors:
     def test_eight_entries(self, scene):
         graph, _, _, _ = scene
-        for ln in graph.links:
-            ev = edge_features(ln)
-            assert ev.shape == (8,)
-            assert np.isfinite(ev).all()
+        _, ef = graph_features(graph)
+        assert ef.shape == (len(graph.links), 8)
+        assert np.isfinite(ef).all()
 
     def test_length_entry_positive(self, scene):
         graph, _, _, _ = scene
-        for ln in graph.links:
-            assert edge_features(ln)[0] > 0.0
+        _, ef = graph_features(graph)
+        assert (ef[:, 0] > 0.0).all()
 
 
 class TestGraphFeatures:
@@ -66,18 +76,22 @@ class TestGraphFeatures:
         assert nf.shape == (len(graph.nodes), FEATURE_LENGTH)
         assert ef.shape == (len(graph.links), 8)
 
-    def test_edge_vectors_built_once(self, scene, monkeypatch):
-        """graph_features builds each link's edge vector once."""
+    def test_links_evaluated_once(self, scene, monkeypatch):
+        """graph_features, and to_document after it, evaluate each link of
+        the graph once."""
         graph, _, _, _ = scene
-        built = []
+        graph = dataclasses.replace(graph)  # no link arrays computed yet
+        evaluated = []
+        arrays = graph_module.LinkArrays
 
-        def counted(link):
-            built.append(link.id)
-            return edge_features(link)
+        def counted(links):
+            evaluated.extend(ln.id for ln in links)
+            return arrays(links)
 
-        monkeypatch.setattr(features, "edge_features", counted)
+        monkeypatch.setattr(graph_module, "LinkArrays", counted)
         graph_features(graph)
-        assert sorted(built) == list(range(len(graph.links)))
+        to_document(graph, 100.0, 100.0, 1.0, 2.0)
+        assert sorted(evaluated) == list(range(len(graph.links)))
 
 
 class TestNodeDescriptor:

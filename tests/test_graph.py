@@ -6,8 +6,8 @@ import pytest
 from shockgraph.bisectors import ParabolaBisector
 from shockgraph.errors import StructuralError
 from shockgraph.graph import (DEGENERATE, JUNCTION, REGULAR, SEMIDEGENERATE,
-                              SINK, SOURCE, Piece, ShockNode, classify_node,
-                              contact_samples, link_area)
+                              SINK, SOURCE, LinkArrays, Piece, ShockNode,
+                              classify_node, contact_samples, link_area)
 from shockgraph.scenes import random_scene, rectangle_fragment
 
 from conftest import build_scene
@@ -163,10 +163,11 @@ class TestAreas:
         assert np.isclose(interior, 8.0, atol=1e-6)
 
     def test_areas_nonnegative(self, rectangle_scene):
+        # the areas of all links, computed together, equal each link's own
         graph, _, _, _ = rectangle_scene
         for ln in graph.links:
-            assert ln.area >= -1e-12
-            assert np.isclose(ln.area, link_area(ln), atol=1e-9)
+            assert graph.link_arrays.area[ln.id] >= -1e-12
+            assert graph.link_arrays.area[ln.id] == link_area(ln)
 
 
 class TestContactSamples:
@@ -177,3 +178,23 @@ class TestContactSamples:
         pts = contact_samples(graph, per_link=8)
         assert pts.ndim == 2 and pts.shape[1] == 2
         assert np.isfinite(pts).all()
+
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_link_arrays_do_not_depend_on_the_batch(seed):
+    """Every attribute of a link has the same bits whether its link arrays
+    hold the whole graph or that link alone."""
+    graph, _, _, _ = build_scene(random_scene(12, seed)[0], 100, 100,
+                                 lam=0.0)
+    whole = LinkArrays(graph.links)
+
+    def bits(arrays, j):
+        ends = np.stack(arrays.ends[:4])[:, j]
+        return [a.tobytes() for a in (
+            arrays.points(16)[j], arrays.points(5)[j], arrays.radii(7)[j],
+            arrays.contacts(4)[j], arrays.curvature_samples[j],
+            arrays.curvature[j], np.float64(arrays.area[j]),
+            arrays.boundary_length[j], ends, arrays.ends[4][j])]
+
+    for ln in graph.links:
+        assert bits(whole, ln.id) == bits(LinkArrays([ln]), 0), ln.id

@@ -51,8 +51,7 @@ class TestPrune:
                        box_fragment_id=box_fid)
         box_ids = {e.id for e in elements if e.fragment_id == box_fid}
         for ln in pruned.links:
-            gens = (set(ln.boundary_plus.generators)
-                    | set(ln.boundary_minus.generators))
+            gens = set(ln.generators(0)) | set(ln.generators(1))
             assert not gens <= box_ids
 
     def test_polygon_collapses_to_center(self):
