@@ -293,10 +293,11 @@ def decompose(fragments: list[ContourFragment]) -> list[BoundaryElement]:
 
 
 def check_no_crossings(elements: list[BoundaryElement]) -> None:
-    """Reject scenes whose segment interiors cross.
+    """Reject scenes whose segment interiors cross or overlap on one line
+    (segments_interiors_intersect).
 
-    Only segments whose bounding boxes overlap can cross, so only those
-    pairs are tested, in the order of an all-pairs scan (the first crossing
+    Only segments whose bounding boxes overlap can meet, so only those
+    pairs are tested, in the order of an all-pairs scan (the first such
     pair is the one reported)."""
     segs = [e for e in elements if e.kind == SEGMENT]
     if len(segs) < 2:
@@ -313,7 +314,7 @@ def check_no_crossings(elements: list[BoundaryElement]) -> None:
             if j > i and segments_interiors_intersect(*segs[i].geometry,
                                                       *segs[j].geometry):
                 raise InvalidInputError(
-                    f"segments {segs[i].id} and {segs[j].id} cross")
+                    f"segments {segs[i].id} and {segs[j].id} cross or overlap")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ are in pixels.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Coincidence tolerance for input geometry (pixels).
@@ -38,13 +40,23 @@ def dot(a, b) -> float:
 
 
 def segments_interiors_intersect(a1, b1, a2, b2, eps: float = EPS_GEOM) -> bool:
-    """True when the open interiors of segments a1b1 and a2b2 cross."""
+    """True when the open interiors of segments a1b1 and a2b2 share a point:
+    they cross, or they lie on one line and overlap by more than eps.
+    Segments that only share an endpoint do not."""
     d1 = (b1[0] - a1[0], b1[1] - a1[1])
     d2 = (b2[0] - a2[0], b2[1] - a2[1])
     denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(denom) < eps:
-        return False  # parallel; touching overlaps are handled upstream
     rx, ry = a2[0] - a1[0], a2[1] - a1[1]
+    if abs(denom) < eps:
+        # parallel: an overlap needs a2 and b2 on a1b1's line
+        L1 = math.hypot(d1[0], d1[1])
+        sx, sy = b2[0] - a1[0], b2[1] - a1[1]
+        if (L1 <= eps or abs(d1[0] * ry - d1[1] * rx) > eps * L1
+                or abs(d1[0] * sy - d1[1] * sx) > eps * L1):
+            return False
+        ta = (rx * d1[0] + ry * d1[1]) / L1
+        tb = (sx * d1[0] + sy * d1[1]) / L1
+        return min(max(ta, tb), L1) - max(min(ta, tb), 0.0) > eps
     t = (rx * d2[1] - ry * d2[0]) / denom
     u = (rx * d1[1] - ry * d1[0]) / denom
     return eps < t < 1.0 - eps and eps < u < 1.0 - eps

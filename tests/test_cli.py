@@ -85,6 +85,28 @@ def test_crossing_scene_is_a_parse_error(tmp_path, capsys):
     assert re.search(r"segments \d+ and \d+ cross", report)
 
 
+@pytest.mark.parametrize("fragments", [
+    "fragment 0 closed\nv 5 5\nv 10 5\nv 15 5\n",
+    "fragment 0 open\nv 5 5\nv 15 5\nfragment 1 open\nv 8 5\nv 12 5\n",
+], ids=["closed-collinear", "two-open"])
+def test_collinear_overlap_is_a_parse_error(tmp_path, capsys, fragments):
+    """Segments on one line whose interiors overlap are rejected: the
+    engine would build a graph that breaks V - E = 1 + S - P."""
+    scene = tmp_path / "overlap.scene"
+    scene.write_text("scene 20 20\n" + fragments)
+    assert cli.main([str(scene), "-o", str(tmp_path)]) == cli.EXIT_PARSE
+    assert re.search(r"segments \d+ and \d+ cross or overlap",
+                     capsys.readouterr().out)
+
+
+def test_collinear_polyline_is_valid(tmp_path, capsys):
+    """Consecutive collinear segments share only their endpoint."""
+    scene = tmp_path / "line.scene"
+    scene.write_text("scene 20 20\nfragment 0 open\nv 5 5\nv 10 5\nv 15 5\n")
+    assert cli.main([str(scene), "-o", str(tmp_path), "--epsilon", "0"]) \
+        == cli.EXIT_OK
+
+
 def test_vertices_across_a_key_cell_boundary_are_one_element(tmp_path,
                                                              capsys):
     """Two fragment ends 2e-10 px apart, on either side of a boundary of

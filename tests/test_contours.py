@@ -137,6 +137,22 @@ class TestCrossings:
         f2 = ContourFragment(1, np.array([[0., 2.], [1., 2.]]))
         check_no_crossings(decompose([f1, f2]))
 
+    @pytest.mark.parametrize("a, b, overlaps", [
+        ((0.5, 0.0), (3.0, 0.0), True),    # partial overlap, same line
+        ((3.0, 0.0), (1.5, 0.0), True),    # reversed, inside
+        ((2.0, 0.0), (3.0, 0.0), False),   # shares an endpoint only
+        ((2.5, 0.0), (3.0, 0.0), False),   # same line, apart
+        ((0.5, 1e-6), (1.5, 1e-6), False),  # parallel, off the line
+    ])
+    def test_collinear_overlap(self, a, b, overlaps):
+        f1 = ContourFragment(0, np.array([[0., 0.], [2., 0.]]))
+        f2 = ContourFragment(1, np.array([a, b]))
+        if overlaps:
+            with pytest.raises(InvalidInputError, match="overlap"):
+                check_no_crossings(decompose([f1, f2]))
+        else:
+            check_no_crossings(decompose([f1, f2]))
+
 
 class TestMaskTracing:
     def test_block_traces_to_rectangle(self):
