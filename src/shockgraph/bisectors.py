@@ -413,7 +413,7 @@ class MidlineBisector(_LineLike):
 
     @staticmethod
     def radii(c, t):
-        return c["r0"].copy()
+        return c["r0"]
 
     @staticmethod
     def dradii(c, t):

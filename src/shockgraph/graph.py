@@ -604,4 +604,4 @@ def contact_samples(graph: ShockGraph, per_link: int = 24) -> np.ndarray:
     the boundary encoded by the shock graph. Returns an (m, 2) array, each
     link's plus side, then its minus side."""
     n = max(2, per_link)
-    return LinkArrays(graph.links).contacts(n).reshape(-1, 2)
+    return graph.link_arrays.contacts(n).reshape(-1, 2)

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -180,10 +181,34 @@ class TestContactSamples:
         assert np.isfinite(pts).all()
 
 
+def _scalar_reference(link, n):
+    """One link's sample points and radii at n samples uniform in arc
+    length, each side's contact-chord length and each end's phi, by a loop
+    over its pieces through the scalar bisector forms."""
+    cum = np.concatenate([[0.0], np.cumsum([p.length for p in link.pieces])])
+    us = np.linspace(0.0, link.length, n)
+    idx = np.clip(np.searchsorted(cum, us, side="right") - 1,
+                  0, len(link.pieces) - 1)
+    pts, radii = np.empty((n, 2)), np.empty(n)
+    for i in np.unique(idx):
+        p, m = link.pieces[i], idx == i
+        ts = p.bisector.t_of_s(p.s0 + p.direction * (us[m] - cum[i]))
+        pts[m], radii[m] = p.bisector.point(ts), p.bisector.radius(ts)
+    chords = [0.0, 0.0]
+    for p in link.pieces:
+        for side in (0, 1):
+            c0, c1 = p.contacts(p.t0)[side], p.contacts(p.t1)[side]
+            chords[side] += math.hypot(c1[0] - c0[0], c1[1] - c0[1])
+    phi = [math.acos(min(1.0, max(-1.0, -link.end(out).dradius())))
+           for out in (True, False)]
+    return pts, radii, np.array(chords), np.array(phi)
+
+
 @pytest.mark.parametrize("seed", [5, 9])
-def test_link_arrays_do_not_depend_on_the_batch(seed):
+def test_link_arrays_match_one_link_and_the_scalar_forms(seed):
     """Every attribute of a link has the same bits whether its link arrays
-    hold the whole graph or that link alone."""
+    hold the whole graph or that link alone, and the ones with scalar
+    forms match a per-piece loop over them."""
     graph, _, _, _ = build_scene(random_scene(12, seed)[0], 100, 100,
                                  lam=0.0)
     whole = LinkArrays(graph.links)
@@ -191,10 +216,23 @@ def test_link_arrays_do_not_depend_on_the_batch(seed):
     def bits(arrays, j):
         ends = np.stack(arrays.ends[:4])[:, j]
         return [a.tobytes() for a in (
-            arrays.points(16)[j], arrays.points(5)[j], arrays.radii(7)[j],
-            arrays.contacts(4)[j], arrays.curvature_samples[j],
-            arrays.curvature[j], np.float64(arrays.area[j]),
-            arrays.boundary_length[j], ends, arrays.ends[4][j])]
+            arrays.points(16)[j], arrays.radii(16)[j],
+            arrays.boundary_length[j], arrays.ends[1][j],
+            arrays.points(5)[j], arrays.contacts(4)[j],
+            arrays.curvature_samples[j], arrays.curvature[j],
+            np.float64(arrays.area[j]), ends, arrays.ends[4][j])]
 
     for ln in graph.links:
-        assert bits(whole, ln.id) == bits(LinkArrays([ln]), 0), ln.id
+        assert ln.length > 0.0
+        got = bits(whole, ln.id)
+        assert got == bits(LinkArrays([ln]), 0), ln.id
+        assert got[:4] == [a.tobytes() for a in _scalar_reference(ln, 16)]
+    # a straight piece run in -t has curvature -0.0 along the flow
+    piece, _ = whole.samples(16)
+    straight = np.array([not isinstance(p.bisector, ParabolaBisector)
+                         for ln in graph.links for p in ln.pieces])[piece]
+    backward = whole.direction[piece][straight] < 0
+    kappa = whole.curvature_samples.ravel()[straight]
+    assert backward.any() and not backward.all()
+    assert (kappa == 0.0).all()
+    assert np.array_equal(np.signbit(kappa), backward)
