@@ -250,7 +250,8 @@ class _LineLike(Bisector):
         quadrilateral p0 p1 c1 c0: half the cross product of its
         diagonals."""
         p0, p1 = cls.points(c, t0), cls.points(c, t1)
-        c0, c1 = cls.contact_points(c, t0, side), cls.contact_points(c, t1, side)
+        c0 = cls.contact_points(c, t0, side)
+        c1 = cls.contact_points(c, t1, side)
         return 0.5 * np.abs((c1[:, 0] - p0[:, 0]) * (c0[:, 1] - p1[:, 1])
                             - (c1[:, 1] - p0[:, 1]) * (c0[:, 0] - p1[:, 0]))
 

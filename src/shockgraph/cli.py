@@ -15,8 +15,9 @@ contain.  One machine-parseable report record is printed per scene:
 Exit status is 0 iff every scene succeeded.  A usage error (an invalid
 setting, or no input file) exits 1 before any scene runs.  Otherwise the
 first failure class determines it: 2 parse/input error, 3 write error, 4
-propagation budget exceeded, 5 internal structural error.  SHOCKGRAPH_EVENT_BUDGET, a
-positive integer, caps the propagation events of each scene.
+propagation budget exceeded, 5 internal structural error.
+SHOCKGRAPH_EVENT_BUDGET, a positive integer, caps the propagation events of
+each scene.
 """
 from __future__ import annotations
 
